@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 from .chains import ChainInstance, ready_services
 from .errors import NoFeasibleType
-from .fws import (LabeledService, assign_labels, compute_weight,
+from .fws import (LabeledService, assign_labels, compute_weight, priority_key,
                   select_machine_fws)
-from .greedy import GREEDY_POLICIES, DECREASING_TIME, greedy_select_machine
+from .greedy import GREEDY_POLICIES, greedy_select_machine, priority_key_for
 from .infrastructure import provision_machine
-from .metrics import MetricsReport, RequestRecord, check_sla
+from .metrics import MetricsReport, RequestRecord, check_sla, total_cost
 from .scenario import Scenario, generate_workload, sample_service_defs
 
 EVENT_FINISH = 0
@@ -95,8 +95,9 @@ class SimulationRun:
         for req in self.requests:
             self._push(req.arrival_time_ms, EVENT_ARRIVAL, req)
 
-        policy = scenario.policy
-        self._greedy = GREEDY_POLICIES.get(policy)
+        self._greedy = GREEDY_POLICIES.get(scenario.policy)
+        self._priority_key = priority_key if self._greedy is None \
+            else priority_key_for(self._greedy.service_bias)
 
     # ------------------------------------------------------------------ events
 
@@ -185,40 +186,37 @@ class SimulationRun:
             dependents=dependents,
         ))
 
-    def _priority_order(self):
+    def _dispatch(self):
+        """One pass over the ready queue in priority order.
+
+        Within one call `now` is fixed and placements only take capacity and
+        node slots, so a demand that found no machine stays unplaceable for
+        the rest of the call.  Later entries with that (memory, cores) demand
+        skip selection and go straight to the SLA-drop check, and no entry
+        passed over needs a second look.
+        """
+        if not self.ready:
+            return
         if self._greedy is None:
             params = self.scenario.weights
             for e in self.ready:
                 e.weight = compute_weight(e, self.now, params)
-            key = lambda e: (-e.label, -e.weight, e.enqueue_time_ms,
-                             e.instance_id, e.service_id)
-        elif self._greedy.service_bias == DECREASING_TIME:
-            key = lambda e: (-e.label, -e.exec_time_ms, e.instance_id, e.service_id)
-        else:
-            key = lambda e: (-e.label, e.exec_time_ms, e.instance_id, e.service_id)
-        return sorted(self.ready, key=key)
-
-    def _dispatch(self):
-        while self.ready:
-            placed = False
-            for entry in self._priority_order():
-                state = self.states[entry.instance_id]
-                if state.dropped:
-                    self.ready.remove(entry)
-                    placed = True
-                    break
+        failed = set()
+        for entry in sorted(self.ready, key=self._priority_key):
+            state = self.states[entry.instance_id]
+            if state.dropped:  # _drop took it off self.ready earlier in this pass
+                continue
+            sdef = self.defs[entry.service_id]
+            demand = (sdef.memory_gb, sdef.cores)
+            if demand not in failed:
                 choice = self._select_machine(entry)
                 if choice is not None:
                     self._place(entry, choice)
                     self.ready.remove(entry)
-                    placed = True
-                    break
-                if self.now - state.request.arrival_time_ms > state.request.delay_sla_ms:
-                    self._drop(state)
-                    placed = True
-                    break
-            if not placed:
-                return
+                    continue
+                failed.add(demand)
+            if self.now - state.request.arrival_time_ms > state.request.delay_sla_ms:
+                self._drop(state)
 
     def _select_machine(self, entry):
         sdef = self.defs[entry.service_id]
@@ -353,13 +351,12 @@ class SimulationRun:
         avg_turnaround = sum(finished) / len(finished) if finished else 0.0
         satisfied_pct = (100.0 * sum(1 for r in records if r.satisfied) /
                          len(records)) if records else 100.0
-        total_cost = sum(m.vm_type.hourly_cost for m in self.machines)
         return MetricsReport(
             policy=self.scenario.policy,
             total_traffic_kb=self.traffic_kb,
             avg_turnaround_ms=avg_turnaround,
             satisfied_pct=satisfied_pct,
-            total_cost_per_hour=total_cost,
+            total_cost_per_hour=total_cost(self.machines),
             per_request=records,
         )
 

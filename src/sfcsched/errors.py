@@ -45,10 +45,6 @@ class EmptyQueue(SfcSchedError):
     """Selection requested from an empty ready queue."""
 
 
-class NoCapacity(SfcSchedError):
-    """No machine fits the service and every node is full."""
-
-
 class NotIdle(SfcSchedError):
     """Attempt to buffer a service that is still running."""
 

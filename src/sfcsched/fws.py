@@ -78,14 +78,20 @@ def compute_weight(labeled: LabeledService, now_ms, params: WeightParams) -> flo
     return params.alpha_dep * labeled.dependents + params.beta_wait * wait
 
 
+def priority_key(entry):
+    """Ready-queue order: highest label, then highest weight, then queue age,
+    then lowest ids.  Reads ``entry.weight``; refresh it with compute_weight."""
+    return (-entry.label, -entry.weight, entry.enqueue_time_ms,
+            entry.instance_id, entry.service_id)
+
+
 def select_next_service(queue, now_ms, params: WeightParams) -> LabeledService:
     """Highest label wins; ties fall to weight, then queue age, then ids."""
     if not queue:
         raise EmptyQueue("ready queue is empty")
     for entry in queue:
         entry.weight = compute_weight(entry, now_ms, params)
-    return min(queue, key=lambda e: (-e.label, -e.weight, e.enqueue_time_ms,
-                                     e.instance_id, e.service_id))
+    return min(queue, key=priority_key)
 
 
 def _traffic_objective(machine, pred_placements, topology):

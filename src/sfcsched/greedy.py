@@ -31,19 +31,22 @@ GREEDY_POLICIES = {
 }
 
 
+def priority_key_for(service_bias):
+    """Ready-queue order of one service bias: highest label, then execution
+    time (shortest first for first_finish, longest for decreasing_time),
+    then lowest ids."""
+    if service_bias == FIRST_FINISH:
+        return lambda e: (-e.label, e.exec_time_ms, e.instance_id, e.service_id)
+    if service_bias == DECREASING_TIME:
+        return lambda e: (-e.label, -e.exec_time_ms, e.instance_id, e.service_id)
+    raise ValueError(f"unknown service bias {service_bias!r}")
+
+
 def greedy_select_service(queue, service_bias):
     """Pick from the max-label ready set by execution-time bias."""
     if not queue:
         raise EmptyQueue("ready queue is empty")
-    top = max(e.label for e in queue)
-    candidates = [e for e in queue if e.label == top]
-    if service_bias == FIRST_FINISH:
-        key = lambda e: (e.exec_time_ms, e.instance_id, e.service_id)
-    elif service_bias == DECREASING_TIME:
-        key = lambda e: (-e.exec_time_ms, e.instance_id, e.service_id)
-    else:
-        raise ValueError(f"unknown service bias {service_bias!r}")
-    return min(candidates, key=key)
+    return min(queue, key=priority_key_for(service_bias))
 
 
 def greedy_select_machine(demand_memory_gb, demand_cores, machines,

@@ -174,7 +174,10 @@ def scenario_from_dict(raw) -> Scenario:
     fws_raw = _section(raw, "fws", _FWS_KEYS)
     fws_kw = dict(fws_raw)
     resume = fws_kw.pop("resume_latency_ms", None)
-    weights_kw = {"weights": WeightParams(**fws_kw)} if fws_kw else {}
+    try:
+        weights_kw = {"weights": WeightParams(**fws_kw)} if fws_kw else {}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("fws", str(exc)) from exc
     resume_kw = {"resume_latency_ms": resume} if resume is not None else {}
 
     try:

@@ -173,3 +173,51 @@ def test_policies_agree_when_there_is_no_choice():
         report = sim.execute()
         assert report.total_traffic_kb == 0.0
         assert len(sim.machines) == 1
+
+
+def count_selections(monkeypatch):
+    """Wrap SimulationRun._select_machine; returns the list of demands it saw."""
+    seen = []
+    select = SimulationRun._select_machine
+
+    def counting(self, entry):
+        sdef = self.defs[entry.service_id]
+        seen.append((sdef.memory_gb, sdef.cores))
+        return select(self, entry)
+
+    monkeypatch.setattr(SimulationRun, "_select_machine", counting)
+    return seen
+
+
+def test_dispatch_skips_a_demand_that_already_failed(monkeypatch):
+    # services 1 and 2 exceed every catalog type and outrank service 3
+    chain = build_chain(1, {1, 2, 3}, set())
+    sc = Scenario(policy="fws", chains=[chain], request_count=1)
+    defs = {1: MicroServiceDef(1, 90.0, 10.0, 50.0, 64.0, 1),
+            2: MicroServiceDef(2, 80.0, 10.0, 50.0, 64.0, 1),
+            3: MicroServiceDef(3, 20.0, 10.0, 50.0, 1.0, 1)}
+    reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0)]
+    sim = SimulationRun(sc, requests=reqs, service_defs=defs)
+    seen = count_selections(monkeypatch)
+    sim._on_arrival(reqs[0])  # enqueues all three, then one dispatch
+    assert [p.service_id for p in sim.placements] == [3]
+    assert seen.count((64.0, 1)) == 1
+    assert len(sim.ready) == 2
+
+
+def test_expired_entry_drops_even_when_its_demand_is_memoised(monkeypatch):
+    chain = build_chain(1, {1}, set())
+    sc = Scenario(policy="lfff", chains=[chain], request_count=3)
+    defs = {1: MicroServiceDef(1, 50.0, 10.0, 50.0, 64.0, 1)}
+    reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0),
+            UserRequest(1, 1, 1.0, 5.0, 10.0),     # expires before t = 10
+            UserRequest(2, 1, 10.0, 5000.0, 10.0)]
+    sim = SimulationRun(sc, requests=reqs, service_defs=defs)
+    seen = count_selections(monkeypatch)
+    for req in reqs:
+        sim.now = req.arrival_time_ms
+        sim._on_arrival(req)
+    # one selection per dispatch: request 0 fails it, the rest skip it
+    assert len(seen) == 3
+    assert [sim.states[i].dropped for i in range(3)] == [False, True, False]
+    assert sorted(e.instance_id for e in sim.ready) == [0, 2]

@@ -5,10 +5,10 @@ import pytest
 from sfcsched.chains import build_chain
 from sfcsched.errors import EmptyQueue
 from sfcsched.fws import (LabeledService, WeightParams, assign_labels,
-                          compute_weight, select_machine_fws,
+                          compute_weight, priority_key, select_machine_fws,
                           select_next_service)
 from sfcsched.greedy import (GREEDY_POLICIES, greedy_select_machine,
-                             greedy_select_service)
+                             greedy_select_service, priority_key_for)
 from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology, VmType,
                                      default_catalog)
 
@@ -237,3 +237,41 @@ def test_greedy_provisions_on_lowest_free_node():
 
 def test_policy_registry_has_exactly_four():
     assert sorted(GREEDY_POLICIES) == ["lfdt", "lfff", "mfdt", "mfff"]
+
+
+def random_queue(rng, size):
+    # few distinct values, so ties reach the later key fields
+    return [entry(rng.randrange(4), sid, rng.randint(1, 3),
+                  enqueue=float(rng.choice((0.0, 10.0, 20.0))),
+                  exec_ms=float(rng.choice((20.0, 50.0))),
+                  dependents=rng.randrange(3))
+            for sid in range(size)]
+
+
+def drain(queue, select):
+    """Repeated selection: the order a one-at-a-time dispatcher would offer."""
+    queue, out = list(queue), []
+    while queue:
+        out.append(select(queue))
+        queue.remove(out[-1])
+    return out
+
+
+def test_priority_keys_sort_in_selection_order():
+    # the engine sorts its ready queue by these keys once per dispatch pass
+    rng = random.Random(5)
+    params = WeightParams(alpha_dep=1.0, beta_wait=0.05)
+    for _ in range(50):
+        q = random_queue(rng, rng.randint(1, 12))
+        by_select = drain(q, lambda rest: select_next_service(rest, 30.0, params))
+        assert sorted(q, key=priority_key) == by_select
+        for bias in ("first_finish", "decreasing_time"):
+            assert sorted(q, key=priority_key_for(bias)) == \
+                drain(q, lambda rest: greedy_select_service(rest, bias))
+
+
+def test_priority_key_for_rejects_unknown_bias():
+    with pytest.raises(ValueError):
+        priority_key_for("random")
+    with pytest.raises(ValueError):
+        greedy_select_service([entry(0, 1, 1)], "random")

@@ -184,6 +184,10 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert cli_main(["validate", "--scenario", good]) == 0
     bad = write_scenario(tmp_path, {"workload": {"policy": "bogus"}}, "bad.json")
     assert cli_main(["validate", "--scenario", bad]) == 2
+    zero = write_scenario(tmp_path, {"fws": {"alpha_dep": 0, "beta_wait": 0}},
+                          "zero.json")
+    assert cli_main(["validate", "--scenario", zero]) == 2
+    assert "fws:" in capsys.readouterr().err
 
 
 def test_cli_sweep_stdout(tmp_path, capsys):
