@@ -8,7 +8,7 @@ equal labels fall back to the fair weight.
 """
 
 from sfcsched import (LabeledService, WeightParams, assign_labels,
-                      canonical_sfcs, compute_weight, transitive_dependents)
+                      canonical_sfcs, compute_weight)
 
 chains = canonical_sfcs()
 for chain in chains:
@@ -28,7 +28,7 @@ params = WeightParams(alpha_dep=1.0, beta_wait=0.01)
 for sid in (3, 4):
     entry = LabeledService(instance_id=0, service_id=sid, label=labels[sid],
                            enqueue_time_ms=0.0, exec_time_ms=exec_ms[sid],
-                           dependents=transitive_dependents(chain, sid))
+                           dependents=chain.transitive_dependents(sid))
     for now in (0.0, 200.0):
         w = compute_weight(entry, now, params)
         print(f"service {sid}: dependents={entry.dependents} "

@@ -6,8 +6,7 @@ inter-machine traffic, turnaround, SLA satisfaction and hourly cost.
 """
 
 from .chains import (ChainInstance, MicroServiceDef, ServiceChain, UserRequest,
-                     build_chain, canonical_sfcs, ready_services,
-                     transitive_dependents)
+                     build_chain, canonical_sfcs, ready_services)
 from .engine import Placement, SimulationRun, run
 from .fws import (LabeledService, WeightParams, assign_labels, compute_weight,
                   select_machine_fws, select_next_service)
@@ -15,8 +14,7 @@ from .greedy import (GREEDY_POLICIES, GreedyPolicy, greedy_select_machine,
                      greedy_select_service)
 from .infrastructure import (CloudNode, Link, Machine, Topology, VmType,
                              default_catalog, default_topology, link_delay,
-                             nearest_vm_type, path_delay, provision_machine,
-                             release_machine)
+                             nearest_vm_type, provision_machine)
 from .metrics import (MetricsReport, RequestRecord, accumulate_traffic,
                       check_sla, total_cost, validate_run)
 from .reporting import (ResultRow, SweepSpec, emit_results, load_results,

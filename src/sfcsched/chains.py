@@ -190,6 +190,3 @@ def ready_services(instance: ChainInstance):
             out.add(n)
     return out
 
-
-def transitive_dependents(chain: ServiceChain, service_id) -> int:
-    return chain.transitive_dependents(service_id)

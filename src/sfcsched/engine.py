@@ -148,7 +148,6 @@ class SimulationRun:
     def _on_finish(self, instance_id, service_id, machine):
         state = self.states[instance_id]
         sdef = self.defs[service_id]
-        machine.set_idle((instance_id, service_id))
         machine.buffer_service((instance_id, service_id),
                                sdef.memory_gb, sdef.cores)
         state.instance.mark_done(service_id)
@@ -157,8 +156,11 @@ class SimulationRun:
                 state.completed_ms = self.now
                 self.completed += 1
             else:
+                # enqueueing marks only that successor ready, so one query
+                # serves the whole loop
+                ready = ready_services(state.instance)
                 for succ in sorted(state.instance.chain.successors(service_id)):
-                    if succ in ready_services(state.instance):
+                    if succ in ready:
                         self._enqueue(state, succ)
         self._dispatch()
 

@@ -37,20 +37,12 @@ class NodeFull(SfcSchedError):
     """Cloud node has no free VM slot."""
 
 
-class MachineBusy(SfcSchedError):
-    """Machine still hosts service instances."""
-
-
 class EmptyQueue(SfcSchedError):
     """Selection requested from an empty ready queue."""
 
 
-class NotIdle(SfcSchedError):
-    """Attempt to buffer a service that is still running."""
-
-
 class NotBuffered(SfcSchedError):
-    """Attempt to resume a service that is not buffered."""
+    """Attempt to release a service the machine does not host."""
 
 
 class IoError(SfcSchedError):

@@ -94,13 +94,15 @@ def select_next_service(queue, now_ms, params: WeightParams) -> LabeledService:
     return min(queue, key=priority_key)
 
 
-def _traffic_objective(machine, pred_placements, topology):
-    """Added inter-machine traffic if the service lands on `machine`:
-    predecessor output sizes weighted by route hop count."""
+def _traffic_objective(node_id, pred_placements, topology):
+    """Added inter-machine traffic if the service lands on node `node_id`:
+    predecessor output sizes weighted by route hop count.  A predecessor on
+    the same node is zero hops away, whichever machine it sits on, so the
+    objective is the same for every machine of a node."""
     cost = 0.0
     for _, pred_machine, data_out_kb in pred_placements:
-        if pred_machine.machine_id != machine.machine_id:
-            cost += data_out_kb * topology.hops(pred_machine.node_id, machine.node_id)
+        if pred_machine.node_id != node_id:
+            cost += data_out_kb * topology.hops(pred_machine.node_id, node_id)
     return cost
 
 
@@ -110,19 +112,36 @@ def select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
 
     (a) a predecessor's machine with room, (b) the feasible machine adding
     the least hop-weighted traffic, (c) a freshly provisioned machine on the
-    free-slot node closest to the predecessors.  Returns ("existing", machine)
-    or ("provision", node_id, vm_type), or None when every node is full.
+    free-slot node closest to the predecessors.  Within (a) and (b) ties go
+    to the lowest traffic, then the lowest machine id.  Returns
+    ("existing", machine) or ("provision", node_id, vm_type), or None when
+    every node is full.
     """
-    usable = [m for m in machines
-              if m.active_at_ms <= now_ms and m.fits(demand_memory_gb, demand_cores)]
     pred_machine_ids = {pm.machine_id for _, pm, _ in pred_placements}
-    affine = [m for m in usable if m.machine_id in pred_machine_ids]
-    for candidates in (affine, usable):
-        if candidates:
-            best = min(candidates,
-                       key=lambda m: (_traffic_objective(m, pred_placements, topology),
-                                      m.machine_id))
-            return ("existing", best)
+    objective = {}  # node_id -> _traffic_objective, filled on first use
+    best = best_cost = None
+    best_affine = False
+    for m in machines:
+        vm = m.vm_type
+        # Machine.fits, inlined for this hot loop
+        if not (m.active_at_ms <= now_ms
+                and m.used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
+                and m.used_cores + demand_cores <= vm.cores):
+            continue
+        affine = m.machine_id in pred_machine_ids
+        if best_affine and not affine:
+            continue
+        cost = objective.get(m.node_id)
+        if cost is None:
+            cost = objective[m.node_id] = _traffic_objective(
+                m.node_id, pred_placements, topology)
+        if affine and not best_affine:
+            best, best_affine = None, True
+        if (best is None or cost < best_cost
+                or (cost == best_cost and m.machine_id < best.machine_id)):
+            best, best_cost = m, cost
+    if best is not None:
+        return ("existing", best)
     open_nodes = [n for n in topology.nodes.values() if n.has_free_slot()]
     if not open_nodes:
         return None

@@ -53,19 +53,33 @@ def greedy_select_machine(demand_memory_gb, demand_cores, machines,
                           machine_bias, topology, catalog, now_ms):
     """Utilization-biased machine choice with a provisioning fallback.
 
+    Among active machines with room, least_full takes the lowest and
+    most_full the highest utilization, ties to the lowest machine id.
     Returns ("existing", machine) or ("provision", node_id, vm_type), or
     None when no machine fits and every node is full.
     """
-    usable = [m for m in machines
-              if m.active_at_ms <= now_ms and m.fits(demand_memory_gb, demand_cores)]
-    if usable:
-        if machine_bias == LEAST_FULL:
-            key = lambda m: (m.utilization(), m.machine_id)
-        elif machine_bias == MOST_FULL:
-            key = lambda m: (-m.utilization(), m.machine_id)
-        else:
-            raise ValueError(f"unknown machine bias {machine_bias!r}")
-        return ("existing", min(usable, key=key))
+    if machine_bias == LEAST_FULL:
+        sign = 1.0
+    elif machine_bias == MOST_FULL:
+        sign = -1.0
+    else:
+        raise ValueError(f"unknown machine bias {machine_bias!r}")
+    best = best_key = None
+    for m in machines:
+        vm = m.vm_type
+        used_memory_gb, used_cores = m.used_memory_gb, m.used_cores
+        # Machine.fits and Machine.utilization, inlined for this hot loop
+        if (m.active_at_ms <= now_ms
+                and used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
+                and used_cores + demand_cores <= vm.cores):
+            memory_util = used_memory_gb / vm.memory_gb
+            core_util = used_cores / vm.cores
+            key = sign * (memory_util if memory_util >= core_util else core_util)
+            if (best is None or key < best_key
+                    or (key == best_key and m.machine_id < best.machine_id)):
+                best, best_key = m, key
+    if best is not None:
+        return ("existing", best)
     open_nodes = [n for n in topology.nodes.values() if n.has_free_slot()]
     if not open_nodes:
         return None

@@ -7,8 +7,8 @@ in flight; delays are evaluated on demand from that combined load.
 
 from dataclasses import dataclass, field
 
-from .errors import (MachineBusy, NodeFull, NoFeasibleType, NonPositiveRate,
-                     NoPath, NotBuffered, NotIdle, UnstableQueue)
+from .errors import (NodeFull, NoFeasibleType, NonPositiveRate, NoPath,
+                     NotBuffered, UnstableQueue)
 
 MICRO = "micro"
 CORE = "core"
@@ -96,20 +96,11 @@ class Link:
         return link_delay(lam, self.mu_pps)
 
 
-ACTIVE = "active"
-BUFFERED = "buffered"
-
-
-RUNNING = "running"
-IDLE = "idle"
-
-
 @dataclass
 class Machine:
-    """A provisioned VM.  Usage counts running services only; an idle service
-    can be buffered, keeping only a storage residual with zero compute
-    footprint.  ``hosted`` maps (instance_id, service_id) to its residency
-    state: running, idle or buffered."""
+    """A provisioned VM as capacity accounting.  A placed service holds its
+    memory and cores from dispatch until it finishes; ``hosted`` is the set
+    of (instance_id, service_id) keys holding compute right now."""
 
     machine_id: int
     node_id: int
@@ -117,8 +108,7 @@ class Machine:
     active_at_ms: float = 0.0
     used_memory_gb: float = 0.0
     used_cores: int = 0
-    hosted: dict = field(default_factory=dict)
-    state: str = ACTIVE
+    hosted: set = field(default_factory=set)
 
     def fits(self, memory_gb, cores):
         return (self.used_memory_gb + memory_gb <= self.vm_type.memory_gb + 1e-9
@@ -134,40 +124,15 @@ class Machine:
             raise ValueError(f"machine {self.machine_id}: allocation exceeds capacity")
         self.used_memory_gb += memory_gb
         self.used_cores += cores
-        self.hosted[key] = RUNNING
-        self.state = ACTIVE
-
-    def set_idle(self, key):
-        """The service stopped serving demand; compute is still held."""
-        if self.hosted.get(key) != RUNNING:
-            raise NotIdle(f"{key} is not running on machine {self.machine_id}")
-        self.hosted[key] = IDLE
+        self.hosted.add(key)
 
     def buffer_service(self, key, memory_gb, cores):
-        """Drop an idle service to its storage residual, freeing compute."""
+        """Release a finished service's compute back to the machine."""
         if key not in self.hosted:
             raise NotBuffered(f"{key} not hosted on machine {self.machine_id}")
-        if self.hosted[key] != IDLE:
-            raise NotIdle(f"{key} still serves demand on machine {self.machine_id}")
-        self.hosted[key] = BUFFERED
+        self.hosted.remove(key)
         self.used_memory_gb = max(0.0, self.used_memory_gb - memory_gb)
         self.used_cores -= cores
-        if all(state == BUFFERED for state in self.hosted.values()):
-            self.state = BUFFERED
-
-    def resume_service(self, key, memory_gb, cores):
-        """Restore full demand for a buffered service (caller adds the latency)."""
-        if self.hosted.get(key) != BUFFERED:
-            raise NotBuffered(f"{key} is not buffered on machine {self.machine_id}")
-        if not self.fits(memory_gb, cores):
-            raise ValueError(f"machine {self.machine_id}: resume exceeds capacity")
-        self.used_memory_gb += memory_gb
-        self.used_cores += cores
-        self.hosted[key] = RUNNING
-        self.state = ACTIVE
-
-    def hosts_nothing(self):
-        return not self.hosted
 
 
 class Topology:
@@ -243,11 +208,6 @@ class Topology:
         return bandwidth_mbps * 1000.0 / self.packet_kb
 
 
-def path_delay(topology, src_node, dst_node) -> float:
-    """Seconds of queueing delay between two nodes at current link loads."""
-    return topology.path_delay_s(src_node, dst_node)
-
-
 def default_topology(micro_count=16, core_count=4,
                      micro_slots=MICRO_VM_SLOTS, core_slots=CORE_VM_SLOTS,
                      micro_mu_pps=MICRO_LINK_MU_PPS, core_mu_pps=CORE_LINK_MU_PPS,
@@ -277,8 +237,3 @@ def provision_machine(node: CloudNode, vm_type: VmType, machine_id,
     node.used_slots += 1
     return Machine(machine_id, node.node_id, vm_type, active_at_ms=active_at_ms)
 
-
-def release_machine(node: CloudNode, machine: Machine):
-    if not machine.hosts_nothing():
-        raise MachineBusy(f"machine {machine.machine_id} still hosts services")
-    node.used_slots -= 1

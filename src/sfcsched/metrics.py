@@ -73,8 +73,9 @@ def validate_run(sim) -> None:
     """Assert schedule invariants from the recorded placements alone.
 
     Checks precedence timing, machine capacity at every holding boundary,
-    request conservation, label validity, and that the online traffic
-    accumulator matches an independent recount.  Raises AssertionError.
+    request conservation, label validity, that every machine has its
+    capacity back at quiescence, and that the online traffic accumulator
+    matches an independent recount.  Raises AssertionError.
     """
     defs = sim.defs
     chain_of_instance = {rid: st.instance.chain for rid, st in sim.states.items()}
@@ -128,6 +129,12 @@ def validate_run(sim) -> None:
             cores += dc
             assert mem <= vm.memory_gb + 1e-6, f"machine {mid}: memory overcommit"
             assert cores <= vm.cores, f"machine {mid}: core overcommit"
+
+    # capacity returned: every placed service finished and released
+    for m in sim.machines:
+        assert not m.hosted, f"machine {m.machine_id}: still hosts {sorted(m.hosted)}"
+        assert m.used_cores == 0, f"machine {m.machine_id}: cores not released"
+        assert m.used_memory_gb <= 1e-9, f"machine {m.machine_id}: memory not released"
 
     # node slot bounds
     per_node = {}

@@ -36,6 +36,24 @@ class TopologySpec:
             self.micro_link_mu_pps, self.core_link_mu_pps,
             rho_max=self.rho_max, packet_kb=self.packet_kb)
 
+    def validate(self):
+        for name in ("micro_count", "core_count", "micro_slots", "core_slots"):
+            value = getattr(self, name)
+            _require(isinstance(value, int) and not isinstance(value, bool),
+                     f"topology.{name}", "must be an integer")
+        # every core cloud fronts at least one micro-cloud
+        _require(self.core_count >= 1, "topology.core_count", "must be >= 1")
+        _require(self.micro_count >= self.core_count, "topology.micro_count",
+                 "must be >= core_count")
+        _require(self.micro_slots >= 1, "topology.micro_slots", "must be >= 1")
+        _require(self.core_slots >= 1, "topology.core_slots", "must be >= 1")
+        for name in ("micro_link_mu_pps", "core_link_mu_pps", "packet_kb"):
+            value = getattr(self, name)
+            _require(_is_number(value) and value > 0, f"topology.{name}",
+                     "must be a positive number")
+        _require(_is_number(self.rho_max) and 0 < self.rho_max < 1,
+                 "topology.rho_max", "must lie in (0, 1)")
+
 
 @dataclass
 class Scenario:
@@ -98,6 +116,7 @@ class Scenario:
                  "must be nonnegative")
         _require(self.provision_latency_ms >= 0, "workload.provision_latency_ms",
                  "must be nonnegative")
+        self.topology_spec.validate()
         _require(len(self.catalog) > 0, "catalog", "must list at least one VM type")
         _require(len(self.chains) > 0, "chains", "must list at least one chain")
         ids = sorted(c.chain_id for c in self.chains)
@@ -108,6 +127,10 @@ class Scenario:
 def _require(cond, path, message):
     if not cond:
         raise ValidationError(path, message)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_range(rng, path):

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from sfcsched.chains import (ChainInstance, MicroServiceDef, UserRequest,
-                             build_chain, canonical_sfcs, ready_services,
-                             transitive_dependents)
+                             build_chain, canonical_sfcs, ready_services)
 from sfcsched.errors import CycleDetected, DanglingEdge, UnknownService
 
 
@@ -106,14 +105,14 @@ def test_status_transitions_are_monotone():
 
 
 def test_transitive_dependents_examples():
-    assert transitive_dependents(sfc1(), 3) == 2
-    assert transitive_dependents(sfc1(), 4) == 0
-    assert transitive_dependents(canonical_sfcs()[1], 6) == 4
+    assert sfc1().transitive_dependents(3) == 2
+    assert sfc1().transitive_dependents(4) == 0
+    assert canonical_sfcs()[1].transitive_dependents(6) == 4
 
 
 def test_transitive_dependents_unknown_service():
     with pytest.raises(UnknownService):
-        transitive_dependents(sfc1(), 99)
+        sfc1().transitive_dependents(99)
 
 
 def random_dag(rng, max_nodes=10):

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sfcsched.chains import MicroServiceDef, UserRequest, build_chain
+from sfcsched.chains import MicroServiceDef, UserRequest, build_chain, canonical_sfcs
 from sfcsched.engine import SimulationRun, run
-from sfcsched.infrastructure import VmType
+from sfcsched.infrastructure import VmType, default_catalog
 from sfcsched.metrics import validate_run
-from sfcsched.scenario import Scenario, TopologySpec
+from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
 
 
 def single_service_scenario(policy="fws"):
@@ -221,3 +223,54 @@ def test_expired_entry_drops_even_when_its_demand_is_memoised(monkeypatch):
     assert len(seen) == 3
     assert [sim.states[i].dropped for i in range(3)] == [False, True, False]
     assert sorted(e.instance_id for e in sim.ready) == [0, 2]
+
+
+@st.composite
+def random_chains(draw):
+    """One or two small random DAGs over service ids 1..6; ids may repeat
+    across chains, as they do in the canonical set."""
+    chains = []
+    for chain_id in range(1, draw(st.integers(1, 2)) + 1):
+        n = draw(st.integers(1, 6))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = {e for e, keep in zip(pairs, draw(st.lists(
+            st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep}
+        chains.append(build_chain(chain_id, set(range(1, n + 1)), edges))
+    return chains
+
+
+# "tiny" fits no demand above 2 GB or 1 core, so some chains wait and drop
+CATALOGS = [default_catalog(), [VmType("tiny", 2.0, 1, 25.0, 0.03)],
+            [VmType("tiny", 2.0, 1, 25.0, 0.03), VmType("wide", 4.0, 4, 56.25, 0.2)]]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(policy=st.sampled_from(POLICY_NAMES),
+       seed=st.integers(0, 10_000),
+       micro_count=st.integers(1, 6),
+       core_count=st.integers(1, 3),
+       micro_slots=st.integers(1, 4),
+       core_slots=st.integers(1, 6),
+       catalog=st.sampled_from(CATALOGS),
+       chains=st.one_of(st.just(canonical_sfcs()), random_chains()),
+       request_count=st.integers(0, 30),
+       rate_rps=st.sampled_from((50.0, 500.0, 3000.0)),
+       provision_latency_ms=st.sampled_from((0.0, 50.0)),
+       background=st.sampled_from((0.0, 0.1, 0.6)))
+def test_random_runs_pass_validate_run(policy, seed, micro_count, core_count,
+                                       micro_slots, core_slots, catalog, chains,
+                                       request_count, rate_rps,
+                                       provision_latency_ms, background):
+    topo = TopologySpec(micro_count=max(micro_count, core_count),
+                        core_count=core_count, micro_slots=micro_slots,
+                        core_slots=core_slots)
+    sc = Scenario(policy=policy, rng_seed=seed, topology_spec=topo,
+                  catalog=catalog, chains=chains, request_count=request_count,
+                  arrival_rate_rps=rate_rps, background_load_fraction=background,
+                  provision_latency_ms=provision_latency_ms,
+                  sla_delay_range_ms=(50.0, 600.0))
+    sim = SimulationRun(sc)
+    sim.execute()
+    validate_run(sim)
+    for link in sim.topology.links.values():
+        assert link.transfer_pps == pytest.approx(0.0, abs=1e-9)

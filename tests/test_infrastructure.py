@@ -1,12 +1,11 @@
 import pytest
 
-from sfcsched.errors import (MachineBusy, NodeFull, NoFeasibleType,
-                             NonPositiveRate, NoPath, NotBuffered, NotIdle,
-                             UnstableQueue)
+from sfcsched.errors import (NodeFull, NoFeasibleType, NonPositiveRate, NoPath,
+                             NotBuffered, UnstableQueue)
 from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology, VmType,
                                      default_catalog, default_topology,
-                                     link_delay, nearest_vm_type, path_delay,
-                                     provision_machine, release_machine)
+                                     link_delay, nearest_vm_type,
+                                     provision_machine)
 
 
 def md1_alternate_form(lam, mu):
@@ -62,26 +61,26 @@ def line_topology():
 
 def test_path_delay_same_node_is_zero():
     topo = line_topology()
-    assert path_delay(topo, 1, 1) == 0.0
+    assert topo.path_delay_s(1, 1) == 0.0
 
 
 def test_path_delay_single_link():
     topo = line_topology()
-    assert path_delay(topo, 0, 1) == pytest.approx(0.01, rel=1e-12)
+    assert topo.path_delay_s(0, 1) == pytest.approx(0.01, rel=1e-12)
 
 
 def test_path_delay_sums_line():
     topo = line_topology()
     for link in topo.links.values():
         link.background_pps = 50.0
-    assert path_delay(topo, 0, 2) == pytest.approx(0.03, rel=1e-12)
+    assert topo.path_delay_s(0, 2) == pytest.approx(0.03, rel=1e-12)
 
 
 def test_path_delay_no_route():
     nodes = [CloudNode(0, "micro", 1), CloudNode(1, "micro", 1), CloudNode(2, "micro", 1)]
     topo = Topology(nodes, [Link((0, 1), 10.0)])
     with pytest.raises(NoPath):
-        path_delay(topo, 0, 2)
+        topo.path_delay_s(0, 2)
     with pytest.raises(NoPath):
         topo.route(0, 7)
 
@@ -112,24 +111,15 @@ def test_nearest_vm_type_examples():
         nearest_vm_type(1.0, 1, [])
 
 
-def test_provision_and_release_slots():
+def test_provision_takes_a_node_slot():
     node = CloudNode(3, "micro", 1)
     vm = default_catalog()[0]
-    machine = provision_machine(node, vm, 0)
-    assert machine.utilization() == 0.0
+    machine = provision_machine(node, vm, 0, active_at_ms=50.0)
+    assert (machine.node_id, machine.vm_type, machine.active_at_ms) == (3, vm, 50.0)
+    assert machine.utilization() == 0.0 and not machine.hosted
     assert not node.has_free_slot()
     with pytest.raises(NodeFull):
         provision_machine(node, vm, 1)
-    machine.allocate((0, 1), 1.0, 1)
-    with pytest.raises(MachineBusy):
-        release_machine(node, machine)
-    machine.set_idle((0, 1))
-    machine.buffer_service((0, 1), 1.0, 1)
-    with pytest.raises(MachineBusy):
-        release_machine(node, machine)  # buffered residual still hosted
-    machine.hosted.clear()
-    release_machine(node, machine)
-    assert node.has_free_slot()
 
 
 def test_machine_capacity_enforced():
@@ -142,24 +132,23 @@ def test_machine_capacity_enforced():
     assert m.utilization() == pytest.approx(1.0)  # cores bind
 
 
-def test_buffer_and_resume_accounting():
+def test_buffer_service_releases_compute():
     vm = VmType("medium", 4.0, 2, 25.0, 0.068)
     m = Machine(0, 0, vm)
     m.allocate((7, 3), 2.0, 1)
-    before = m.utilization()
-    with pytest.raises(NotIdle):
-        m.buffer_service((7, 3), 2.0, 1)  # still running
-    m.set_idle((7, 3))
+    m.allocate((7, 4), 1.5, 1)
+    assert m.hosted == {(7, 3), (7, 4)}
+    assert not m.fits(0.5, 1)
     m.buffer_service((7, 3), 2.0, 1)
-    assert m.utilization() == 0.0 < before
-    assert m.state == "buffered"
+    assert m.hosted == {(7, 4)}
+    assert (m.used_memory_gb, m.used_cores) == (1.5, 1)
+    assert m.fits(2.5, 1)
     with pytest.raises(NotBuffered):
-        m.resume_service((9, 9), 1.0, 1)
-    m.resume_service((7, 3), 2.0, 1)
-    assert m.utilization() == before
-    assert m.state == "active"
+        m.buffer_service((7, 3), 2.0, 1)  # already released
     with pytest.raises(NotBuffered):
         m.buffer_service((0, 0), 1.0, 1)  # never hosted
+    m.buffer_service((7, 4), 1.5, 1)
+    assert not m.hosted and m.utilization() == 0.0
 
 
 def test_machine_usage_never_exceeds_capacity_randomized():
@@ -172,7 +161,6 @@ def test_machine_usage_never_exceeds_capacity_randomized():
         if live and rng.random() < 0.5:
             key = rng.choice(sorted(live))
             mem, cores = live.pop(key)
-            m.set_idle(key)
             m.buffer_service(key, mem, cores)
         else:
             key = (step, 0)
@@ -183,3 +171,4 @@ def test_machine_usage_never_exceeds_capacity_randomized():
         assert m.used_memory_gb <= vm.memory_gb + 1e-9
         assert m.used_cores <= vm.cores
         assert 0.0 <= m.utilization() <= 1.0 + 1e-9
+        assert m.hosted == set(live)

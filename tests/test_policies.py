@@ -3,14 +3,16 @@ import random
 import pytest
 
 from sfcsched.chains import build_chain
-from sfcsched.errors import EmptyQueue
+from sfcsched.errors import EmptyQueue, NoFeasibleType
 from sfcsched.fws import (LabeledService, WeightParams, assign_labels,
                           compute_weight, priority_key, select_machine_fws,
                           select_next_service)
-from sfcsched.greedy import (GREEDY_POLICIES, greedy_select_machine,
-                             greedy_select_service, priority_key_for)
+from sfcsched.greedy import (GREEDY_POLICIES, LEAST_FULL, MOST_FULL,
+                             greedy_select_machine, greedy_select_service,
+                             priority_key_for)
 from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology, VmType,
-                                     default_catalog)
+                                     default_catalog, default_topology,
+                                     nearest_vm_type)
 
 
 def naive_labels(chain, exec_time_ms):
@@ -275,3 +277,112 @@ def test_priority_key_for_rejects_unknown_bias():
         priority_key_for("random")
     with pytest.raises(ValueError):
         greedy_select_service([entry(0, 1, 1)], "random")
+
+
+# Reference machine selection: the list-building implementations that the
+# single-loop ones replaced.  Both must pick the same machine on any input.
+
+def oracle_greedy_select_machine(demand_memory_gb, demand_cores, machines,
+                                 machine_bias, topology, catalog, now_ms):
+    usable = [m for m in machines
+              if m.active_at_ms <= now_ms and m.fits(demand_memory_gb, demand_cores)]
+    if usable:
+        if machine_bias == LEAST_FULL:
+            key = lambda m: (m.utilization(), m.machine_id)
+        elif machine_bias == MOST_FULL:
+            key = lambda m: (-m.utilization(), m.machine_id)
+        else:
+            raise ValueError(f"unknown machine bias {machine_bias!r}")
+        return ("existing", min(usable, key=key))
+    open_nodes = [n for n in topology.nodes.values() if n.has_free_slot()]
+    if not open_nodes:
+        return None
+    node = min(open_nodes, key=lambda n: n.node_id)
+    return ("provision", node.node_id,
+            nearest_vm_type(demand_memory_gb, demand_cores, catalog))
+
+
+def oracle_traffic_objective(machine, pred_placements, topology):
+    cost = 0.0
+    for _, pred_machine, data_out_kb in pred_placements:
+        if pred_machine.machine_id != machine.machine_id:
+            cost += data_out_kb * topology.hops(pred_machine.node_id, machine.node_id)
+    return cost
+
+
+def oracle_select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
+                              machines, topology, catalog, now_ms):
+    usable = [m for m in machines
+              if m.active_at_ms <= now_ms and m.fits(demand_memory_gb, demand_cores)]
+    pred_machine_ids = {pm.machine_id for _, pm, _ in pred_placements}
+    affine = [m for m in usable if m.machine_id in pred_machine_ids]
+    for candidates in (affine, usable):
+        if candidates:
+            best = min(candidates,
+                       key=lambda m: (oracle_traffic_objective(m, pred_placements,
+                                                               topology),
+                                      m.machine_id))
+            return ("existing", best)
+    open_nodes = [n for n in topology.nodes.values() if n.has_free_slot()]
+    if not open_nodes:
+        return None
+    pred_nodes = [pm.node_id for _, pm, _ in pred_placements]
+    best_node = min(open_nodes,
+                    key=lambda n: (sum(topology.path_delay_s(p, n.node_id)
+                                       for p in pred_nodes), n.node_id))
+    return ("provision", best_node.node_id,
+            nearest_vm_type(demand_memory_gb, demand_cores, catalog))
+
+
+def outcome(select, *args):
+    """A comparable summary of one selection call: machine ids, not objects."""
+    try:
+        result = select(*args)
+    except NoFeasibleType:
+        return "no feasible type"
+    if result is None or result[0] == "provision":
+        return result
+    return ("existing", result[1].machine_id)
+
+
+def random_machines(rng, topology, catalog, now_ms):
+    """Machines on few nodes with coarse loads, so utilizations, hop counts
+    and traffic objectives tie often; ids are shuffled against list order."""
+    count = rng.randint(0, 12)
+    ids = list(range(count))
+    rng.shuffle(ids)
+    machines = []
+    for machine_id in ids:
+        vm = rng.choice(catalog)
+        m = Machine(machine_id, rng.choice(sorted(topology.nodes)), vm,
+                    active_at_ms=rng.choice((0.0, now_ms, now_ms + 10.0)))
+        for k in range(rng.randint(0, 3)):
+            mem, cores = rng.choice((0.5, 1.0, 2.0)), rng.choice((0, 1))
+            if m.fits(mem, cores):
+                m.allocate((machine_id, k), mem, cores)
+        machines.append(m)
+    return machines
+
+
+def test_single_loop_selection_matches_list_based_oracle():
+    rng = random.Random(11)
+    catalog = default_catalog()
+    now_ms = 100.0
+    for _ in range(3000):
+        topology = default_topology(micro_count=4, core_count=2,
+                                    micro_slots=2, core_slots=3)
+        for node in topology.nodes.values():
+            node.used_slots = rng.choice((0, node.vm_slots))
+        for link in topology.links.values():
+            link.background_pps = rng.choice((0.0, 0.5)) * link.mu_pps
+        machines = random_machines(rng, topology, catalog, now_ms)
+        demand = (rng.choice((0.5, 1.0, 2.0, 4.0, 16.0)), rng.choice((1, 2)))
+        for bias in (LEAST_FULL, MOST_FULL):
+            args = (*demand, machines, bias, topology, catalog, now_ms)
+            assert outcome(greedy_select_machine, *args) == \
+                outcome(oracle_greedy_select_machine, *args)
+        preds = [(sid, rng.choice(machines), rng.choice((5.0, 10.0, 12.5)))
+                 for sid in range(rng.randint(0, 3) if machines else 0)]
+        args = (*demand, preds, machines, topology, catalog, now_ms)
+        assert outcome(select_machine_fws, *args) == \
+            outcome(oracle_select_machine_fws, *args)

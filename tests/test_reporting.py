@@ -188,6 +188,25 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                           "zero.json")
     assert cli_main(["validate", "--scenario", zero]) == 2
     assert "fws:" in capsys.readouterr().err
+    bad_topologies = [
+        ({"micro_count": 1, "core_count": 2}, "topology.micro_count"),
+        ({"core_count": 0}, "topology.core_count"),
+        ({"micro_count": 0}, "topology.micro_count"),
+        ({"core_count": "abc"}, "topology.core_count"),
+        ({"micro_slots": 0}, "topology.micro_slots"),
+        ({"core_slots": -1}, "topology.core_slots"),
+        ({"micro_link_mu_pps": 0}, "topology.micro_link_mu_pps"),
+        ({"core_link_mu_pps": -5.0}, "topology.core_link_mu_pps"),
+        ({"packet_kb": 0}, "topology.packet_kb"),
+        ({"rho_max": 1.5}, "topology.rho_max"),
+        ({"rho_max": 0}, "topology.rho_max"),
+    ]
+    for idx, (topology, field) in enumerate(bad_topologies):
+        path = write_scenario(tmp_path, {"topology": topology}, f"topo{idx}.json")
+        for command in ("validate", "run"):
+            assert cli_main([command, "--scenario", path]) == 2, (topology, command)
+            err = capsys.readouterr().err
+            assert field in err and "Traceback" not in err, (topology, command)
 
 
 def test_cli_sweep_stdout(tmp_path, capsys):
