@@ -9,9 +9,8 @@ from .chains import (ChainInstance, MicroServiceDef, ServiceChain, UserRequest,
                      build_chain, canonical_sfcs, ready_services)
 from .engine import Placement, SimulationRun, run
 from .fws import (LabeledService, WeightParams, assign_labels, compute_weight,
-                  select_machine_fws, select_next_service)
-from .greedy import (GREEDY_POLICIES, GreedyPolicy, greedy_select_machine,
-                     greedy_select_service)
+                  select_machine_fws)
+from .greedy import GREEDY_POLICIES, GreedyPolicy, greedy_select_machine
 from .infrastructure import (CloudNode, Link, Machine, Topology, VmType,
                              default_catalog, default_topology, link_delay,
                              nearest_vm_type, provision_machine)

@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .engine import run
-from .errors import SfcSchedError
+from .errors import ParseError, SfcSchedError, ValidationError
 from .reporting import (SweepSpec, emit_results, parse_scenario, parse_sweep,
                         render_results, report_rows, run_sweep)
 from .scenario import POLICY_NAMES, Scenario
@@ -77,7 +77,6 @@ def main(argv=None) -> int:
         return 0
     except SfcSchedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        from .errors import ParseError, ValidationError
         return 2 if isinstance(exc, (ParseError, ValidationError)) else 1
 
 

@@ -17,13 +17,13 @@ every link on the min-hop route.  While in flight, a transfer contributes
 its line rate to those links, so concurrent transfers see each other's load.
 """
 
+import bisect
 import heapq
 from dataclasses import dataclass, field
 
 from .chains import ChainInstance, ready_services
 from .errors import NoFeasibleType
-from .fws import (LabeledService, assign_labels, compute_weight, priority_key,
-                  select_machine_fws)
+from .fws import LabeledService, assign_labels, priority_key, select_machine_fws
 from .greedy import GREEDY_POLICIES, greedy_select_machine, priority_key_for
 from .infrastructure import provision_machine
 from .metrics import MetricsReport, RequestRecord, check_sla, total_cost
@@ -82,7 +82,7 @@ class SimulationRun:
         self.machines = []
         self.placements = []
         self._placed = {}          # (instance_id, service_id) -> Placement
-        self.ready = []            # LabeledService entries awaiting dispatch
+        self.ready = []            # LabeledService entries, in _priority_key order
         self.states = {}           # request_id -> _RequestState
         self.arrived = 0
         self.completed = 0
@@ -96,7 +96,7 @@ class SimulationRun:
             self._push(req.arrival_time_ms, EVENT_ARRIVAL, req)
 
         self._greedy = GREEDY_POLICIES.get(scenario.policy)
-        self._priority_key = priority_key if self._greedy is None \
+        self._priority_key = priority_key(scenario.weights) if self._greedy is None \
             else priority_key_for(self._greedy.service_bias)
 
     # ------------------------------------------------------------------ events
@@ -121,7 +121,7 @@ class SimulationRun:
                 self._on_transfer_done(payload)
         # Anything still queued can never be placed: no capacity-releasing
         # event remains.  Those requests count as dropped.
-        for entry in list(self.ready):
+        for entry in self.ready:
             state = self.states[entry.instance_id]
             if not state.dropped:
                 self._drop(state)
@@ -179,34 +179,32 @@ class SimulationRun:
             dependents = chain.transitive_dependents(service_id)
         else:
             dependents = chain.immediate_dependents(service_id)
-        self.ready.append(LabeledService(
+        bisect.insort(self.ready, LabeledService(
             instance_id=state.instance.instance_id,
             service_id=service_id,
             label=state.labels[service_id],
             enqueue_time_ms=self.now,
             exec_time_ms=self.defs[service_id].exec_time_ms,
             dependents=dependents,
-        ))
+        ), key=self._priority_key)
 
     def _dispatch(self):
-        """One pass over the ready queue in priority order.
+        """One pass over the ready queue, which is kept in priority order.
 
         Within one call `now` is fixed and placements only take capacity and
         node slots, so a demand that found no machine stays unplaceable for
         the rest of the call.  Later entries with that (memory, cores) demand
         skip selection and go straight to the SLA-drop check, and no entry
-        passed over needs a second look.
+        passed over needs a second look.  The entries neither placed nor
+        dropped, still in order, form the next queue.
         """
         if not self.ready:
             return
-        if self._greedy is None:
-            params = self.scenario.weights
-            for e in self.ready:
-                e.weight = compute_weight(e, self.now, params)
         failed = set()
-        for entry in sorted(self.ready, key=self._priority_key):
+        waiting = []
+        for entry in self.ready:
             state = self.states[entry.instance_id]
-            if state.dropped:  # _drop took it off self.ready earlier in this pass
+            if state.dropped:  # dropped earlier in this pass
                 continue
             sdef = self.defs[entry.service_id]
             demand = (sdef.memory_gb, sdef.cores)
@@ -214,11 +212,13 @@ class SimulationRun:
                 choice = self._select_machine(entry)
                 if choice is not None:
                     self._place(entry, choice)
-                    self.ready.remove(entry)
                     continue
                 failed.add(demand)
             if self.now - state.request.arrival_time_ms > state.request.delay_sla_ms:
                 self._drop(state)
+            else:
+                waiting.append(entry)
+        self.ready = waiting
 
     def _select_machine(self, entry):
         sdef = self.defs[entry.service_id]
@@ -304,8 +304,6 @@ class SimulationRun:
     def _drop(self, state):
         state.dropped = True
         self.dropped += 1
-        self.ready = [e for e in self.ready
-                      if e.instance_id != state.instance.instance_id]
 
     # ----------------------------------------------------------------- report
 

@@ -37,10 +37,6 @@ class NodeFull(SfcSchedError):
     """Cloud node has no free VM slot."""
 
 
-class EmptyQueue(SfcSchedError):
-    """Selection requested from an empty ready queue."""
-
-
 class NotBuffered(SfcSchedError):
     """Attempt to release a service the machine does not host."""
 

@@ -9,7 +9,6 @@ network.
 import heapq
 from dataclasses import dataclass
 
-from .errors import EmptyQueue
 from .infrastructure import nearest_vm_type
 
 TRANSITIVE = "transitive"
@@ -43,7 +42,6 @@ class LabeledService:
     enqueue_time_ms: float
     exec_time_ms: float
     dependents: int
-    weight: float = 0.0
 
 
 def assign_labels(chain, exec_time_ms) -> dict:
@@ -78,20 +76,17 @@ def compute_weight(labeled: LabeledService, now_ms, params: WeightParams) -> flo
     return params.alpha_dep * labeled.dependents + params.beta_wait * wait
 
 
-def priority_key(entry):
+def priority_key(params: WeightParams):
     """Ready-queue order: highest label, then highest weight, then queue age,
-    then lowest ids.  Reads ``entry.weight``; refresh it with compute_weight."""
-    return (-entry.label, -entry.weight, entry.enqueue_time_ms,
-            entry.instance_id, entry.service_id)
+    then lowest ids.
 
-
-def select_next_service(queue, now_ms, params: WeightParams) -> LabeledService:
-    """Highest label wins; ties fall to weight, then queue age, then ids."""
-    if not queue:
-        raise EmptyQueue("ready queue is empty")
-    for entry in queue:
-        entry.weight = compute_weight(entry, now_ms, params)
-    return min(queue, key=priority_key)
+    All entries share one clock, so ranking by the weight at time ``now`` is
+    ranking by ``beta * enqueue - alpha * dependents``, which does not change
+    while an entry waits: the key is fixed at enqueue.
+    """
+    alpha, beta = params.alpha_dep, params.beta_wait
+    return lambda e: (-e.label, beta * e.enqueue_time_ms - alpha * e.dependents,
+                      e.enqueue_time_ms, e.instance_id, e.service_id)
 
 
 def _traffic_objective(node_id, pred_placements, topology):

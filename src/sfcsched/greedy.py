@@ -8,7 +8,6 @@ inter-machine traffic.
 
 from dataclasses import dataclass
 
-from .errors import EmptyQueue
 from .infrastructure import nearest_vm_type
 
 LEAST_FULL = "least_full"
@@ -40,13 +39,6 @@ def priority_key_for(service_bias):
     if service_bias == DECREASING_TIME:
         return lambda e: (-e.label, -e.exec_time_ms, e.instance_id, e.service_id)
     raise ValueError(f"unknown service bias {service_bias!r}")
-
-
-def greedy_select_service(queue, service_bias):
-    """Pick from the max-label ready set by execution-time bias."""
-    if not queue:
-        raise EmptyQueue("ready queue is empty")
-    return min(queue, key=priority_key_for(service_bias))
 
 
 def greedy_select_machine(demand_memory_gb, demand_cores, machines,

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 from .chains import build_chain
 from .engine import run
-from .errors import IoError, ParseError, ValidationError
+from .errors import CycleDetected, DanglingEdge, IoError, ParseError, ValidationError
 from .fws import WeightParams
 from .infrastructure import VmType
 from .metrics import METRIC_NAMES
-from .scenario import POLICY_NAMES, Scenario, TopologySpec
+from .scenario import (POLICY_NAMES, Scenario, TopologySpec, _is_int, _is_list,
+                       _is_number, _require)
 
 SEED_ENV_VAR = "SFC_SCHED_SEED"
 
@@ -39,23 +40,31 @@ class SweepSpec:
     load_demand_count: int = 3000
 
     def validate(self):
+        _require(_is_list(self.demand_points)
+                 and all(_is_int(p) and p >= 0 for p in self.demand_points),
+                 "sweep.demand_points", "must list integers >= 0")
         if not self.demand_points or \
                 any(b <= a for a, b in zip(self.demand_points, self.demand_points[1:])):
             raise ValidationError("sweep.demand_points", "must be strictly increasing")
+        _require(_is_list(self.load_points)
+                 and all(_is_number(p) for p in self.load_points),
+                 "sweep.load_points", "must list numbers")
         if not self.load_points or \
                 any(b <= a for a, b in zip(self.load_points, self.load_points[1:])):
             raise ValidationError("sweep.load_points", "must be strictly increasing")
         if any(not 0 <= p < 1 for p in self.load_points):
             raise ValidationError("sweep.load_points", "must lie in [0, 1)")
+        _require(_is_list(self.policies) and len(self.policies) > 0,
+                 "sweep.policies", "must list at least one policy")
         unknown = [p for p in self.policies if p not in POLICY_NAMES]
         if unknown:
             raise ValidationError("sweep.policies", f"unknown policy {unknown[0]!r}")
-        if self.repetitions < 1:
-            raise ValidationError("sweep.repetitions", "must be >= 1")
-        if self.demand_window_s <= 0:
-            raise ValidationError("sweep.demand_window_s", "must be positive")
-        if self.load_demand_count < 1:
-            raise ValidationError("sweep.load_demand_count", "must be >= 1")
+        _require(_is_int(self.repetitions) and self.repetitions >= 1,
+                 "sweep.repetitions", "must be an integer >= 1")
+        _require(_is_number(self.demand_window_s) and self.demand_window_s > 0,
+                 "sweep.demand_window_s", "must be a positive number")
+        _require(_is_int(self.load_demand_count) and self.load_demand_count >= 1,
+                 "sweep.load_demand_count", "must be an integer >= 1")
         return self
 
 
@@ -140,6 +149,7 @@ def scenario_from_dict(raw) -> Scenario:
             raise ValidationError("catalog", "must be a nonempty list")
         catalog = []
         for idx, entry in enumerate(catalog_raw):
+            _require(isinstance(entry, dict), f"catalog[{idx}]", "must be an object")
             for key in entry:
                 if key not in _CATALOG_KEYS:
                     raise ValidationError(f"catalog[{idx}].{key}", "unknown key")
@@ -157,15 +167,28 @@ def scenario_from_dict(raw) -> Scenario:
             raise ValidationError("chains", "must be a nonempty list")
         chains = []
         for idx, entry in enumerate(chains_raw):
+            path = f"chains[{idx}]"
+            _require(isinstance(entry, dict), path, "must be an object")
             for key in entry:
                 if key not in _CHAIN_KEYS:
-                    raise ValidationError(f"chains[{idx}].{key}", "unknown key")
+                    raise ValidationError(f"{path}.{key}", "unknown key")
+            for key in ("chain_id", "nodes"):
+                _require(key in entry, path, f"missing {key!r}")
+            nodes, edges = entry["nodes"], entry.get("edges", [])
+            _require(_is_int(entry["chain_id"]), f"{path}.chain_id",
+                     "must be an integer")
+            _require(isinstance(nodes, list) and nodes
+                     and all(_is_int(n) for n in nodes),
+                     f"{path}.nodes", "must list integer service ids")
+            _require(isinstance(edges, list)
+                     and all(isinstance(e, list) and len(e) == 2
+                             and all(_is_int(n) for n in e) for e in edges),
+                     f"{path}.edges", "must list [from, to] service id pairs")
             try:
-                chains.append(build_chain(entry["chain_id"],
-                                          set(entry["nodes"]),
-                                          {tuple(e) for e in entry.get("edges", [])}))
-            except KeyError as exc:
-                raise ValidationError(f"chains[{idx}]", f"missing {exc}") from exc
+                chains.append(build_chain(entry["chain_id"], set(nodes),
+                                          {tuple(e) for e in edges}))
+            except (CycleDetected, DanglingEdge) as exc:
+                raise ValidationError(f"{path}.edges", str(exc)) from exc
         chains_kw = {"chains": chains}
 
     workload = _section(raw, "workload", _WORKLOAD_KEYS)

@@ -38,9 +38,8 @@ class TopologySpec:
 
     def validate(self):
         for name in ("micro_count", "core_count", "micro_slots", "core_slots"):
-            value = getattr(self, name)
-            _require(isinstance(value, int) and not isinstance(value, bool),
-                     f"topology.{name}", "must be an integer")
+            _require(_is_int(getattr(self, name)), f"topology.{name}",
+                     "must be an integer")
         # every core cloud fronts at least one micro-cloud
         _require(self.core_count >= 1, "topology.core_count", "must be >= 1")
         _require(self.micro_count >= self.core_count, "topology.micro_count",
@@ -93,31 +92,38 @@ class Scenario:
         return replace(self, **kw)
 
     def validate(self):
-        _require(self.request_count >= 0, "workload.request_count", "must be >= 0")
-        _require(self.arrival_rate_rps > 0, "workload.arrival_rate_rps",
-                 "must be positive")
+        _require(_is_int(self.request_count) and self.request_count >= 0,
+                 "workload.request_count", "must be an integer >= 0")
+        _require(_is_number(self.arrival_rate_rps) and self.arrival_rate_rps > 0,
+                 "workload.arrival_rate_rps", "must be a positive number")
         if self.arrival_window_s is not None:
-            _require(self.arrival_window_s > 0, "workload.arrival_window_s",
-                     "must be positive")
+            _require(_is_number(self.arrival_window_s) and self.arrival_window_s > 0,
+                     "workload.arrival_window_s", "must be a positive number")
         _check_range(self.sla_delay_range_ms, "workload.sla_delay_range_ms")
         _check_range(self.sla_cost_range, "workload.sla_cost_range")
         _check_range(self.exec_time_range_ms, "workload.exec_time_range_ms")
         _check_range(self.data_out_range_kb, "workload.data_out_range_kb")
         _check_range(self.capacity_range_rps, "workload.capacity_range_rps")
         _check_range(self.service_memory_range_gb, "workload.service_memory_range_gb")
-        _require(len(self.service_cores_choices) > 0
-                 and all(int(c) == c and c >= 1 for c in self.service_cores_choices),
+        cores = self.service_cores_choices
+        _require(_is_list(cores) and len(cores) > 0
+                 and all(_is_int(c) and c >= 1 for c in cores),
                  "workload.service_cores_choices", "must list integers >= 1")
-        _require(0 <= self.background_load_fraction < 1,
+        _require(_is_number(self.background_load_fraction)
+                 and 0 <= self.background_load_fraction < 1,
                  "workload.background_load_fraction", "must lie in [0, 1)")
+        _require(_is_int(self.rng_seed), "workload.rng_seed", "must be an integer")
         _require(self.policy in POLICY_NAMES, "workload.policy",
                  f"must be one of {', '.join(POLICY_NAMES)}")
-        _require(self.resume_latency_ms >= 0, "fws.resume_latency_ms",
-                 "must be nonnegative")
-        _require(self.provision_latency_ms >= 0, "workload.provision_latency_ms",
-                 "must be nonnegative")
+        _require(_is_number(self.resume_latency_ms) and self.resume_latency_ms >= 0,
+                 "fws.resume_latency_ms", "must be a nonnegative number")
+        _require(_is_number(self.provision_latency_ms)
+                 and self.provision_latency_ms >= 0,
+                 "workload.provision_latency_ms", "must be a nonnegative number")
         self.topology_spec.validate()
         _require(len(self.catalog) > 0, "catalog", "must list at least one VM type")
+        for idx, vm in enumerate(self.catalog):
+            _check_vm_type(vm, f"catalog[{idx}]")
         _require(len(self.chains) > 0, "chains", "must list at least one chain")
         ids = sorted(c.chain_id for c in self.chains)
         _require(len(ids) == len(set(ids)), "chains", "duplicate chain_id")
@@ -133,10 +139,31 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value):
+    return isinstance(value, (list, tuple))
+
+
 def _check_range(rng, path):
-    _require(len(rng) == 2, path, "must be a [lo, hi] pair")
+    _require(_is_list(rng) and len(rng) == 2
+             and all(_is_number(x) for x in rng), path, "must be a [lo, hi] pair")
     lo, hi = rng
     _require(lo > 0 and hi >= lo, path, "must satisfy 0 < lo <= hi")
+
+
+def _check_vm_type(vm, path):
+    _require(isinstance(vm.name, str), f"{path}.name", "must be a string")
+    _require(_is_number(vm.memory_gb) and vm.memory_gb > 0, f"{path}.memory_gb",
+             "must be a positive number")
+    _require(_is_int(vm.cores) and vm.cores >= 1, f"{path}.cores",
+             "must be an integer >= 1")
+    _require(_is_number(vm.max_bandwidth_mbps) and vm.max_bandwidth_mbps > 0,
+             f"{path}.max_bandwidth_mbps", "must be a positive number")
+    _require(_is_number(vm.hourly_cost) and vm.hourly_cost >= 0,
+             f"{path}.hourly_cost", "must be a nonnegative number")
 
 
 def sample_service_defs(scenario: Scenario) -> dict:

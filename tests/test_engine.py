@@ -225,6 +225,30 @@ def test_expired_entry_drops_even_when_its_demand_is_memoised(monkeypatch):
     assert sorted(e.instance_id for e in sim.ready) == [0, 2]
 
 
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_ready_queue_stays_in_priority_order(monkeypatch, policy):
+    # one VM slot per node and a burst of arrivals, so the queue holds
+    # entries enqueued at many different times
+    sc = Scenario(policy=policy, request_count=60, arrival_rate_rps=2000.0,
+                  topology_spec=TopologySpec(micro_count=1, core_count=1,
+                                             micro_slots=1, core_slots=1))
+    mixed = []
+
+    def checked(method):
+        def wrapper(self, *args):
+            method(self, *args)
+            assert self.ready == sorted(self.ready, key=self._priority_key)
+            mixed.append(len({e.enqueue_time_ms for e in self.ready}) > 1)
+        return wrapper
+
+    monkeypatch.setattr(SimulationRun, "_enqueue", checked(SimulationRun._enqueue))
+    monkeypatch.setattr(SimulationRun, "_dispatch", checked(SimulationRun._dispatch))
+    sim = SimulationRun(sc)
+    sim.execute()
+    validate_run(sim)
+    assert sum(mixed) > 100
+
+
 @st.composite
 def random_chains(draw):
     """One or two small random DAGs over service ids 1..6; ids may repeat

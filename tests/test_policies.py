@@ -3,13 +3,11 @@ import random
 import pytest
 
 from sfcsched.chains import build_chain
-from sfcsched.errors import EmptyQueue, NoFeasibleType
+from sfcsched.errors import NoFeasibleType
 from sfcsched.fws import (LabeledService, WeightParams, assign_labels,
-                          compute_weight, priority_key, select_machine_fws,
-                          select_next_service)
+                          compute_weight, priority_key, select_machine_fws)
 from sfcsched.greedy import (GREEDY_POLICIES, LEAST_FULL, MOST_FULL,
-                             greedy_select_machine, greedy_select_service,
-                             priority_key_for)
+                             greedy_select_machine, priority_key_for)
 from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology, VmType,
                                      default_catalog, default_topology,
                                      nearest_vm_type)
@@ -100,37 +98,30 @@ def test_weight_params_validation():
 
 
 def test_select_label_dominates_weight():
-    params = WeightParams()
+    key = priority_key(WeightParams())
     q = [entry(0, 1, 5, dependents=0), entry(1, 2, 3, dependents=9)]
-    assert select_next_service(q, 0.0, params).label == 5
+    assert min(q, key=key).label == 5
 
 
 def test_select_weight_breaks_label_tie():
-    params = WeightParams(alpha_dep=1.0, beta_wait=0.01)
+    key = priority_key(WeightParams(alpha_dep=1.0, beta_wait=0.01))
     q = [entry(0, 1, 3, dependents=2), entry(1, 1, 3, dependents=1)]
-    winner = select_next_service(q, 0.0, params)
+    winner = min(q, key=key)
     assert (winner.instance_id, winner.service_id) == (0, 1)
 
 
 def test_select_wait_decides_equal_dependents():
-    params = WeightParams(alpha_dep=1.0, beta_wait=0.01)
+    key = priority_key(WeightParams(alpha_dep=1.0, beta_wait=0.01))
     old = entry(5, 1, 3, enqueue=0.0, dependents=1)
     young = entry(2, 1, 3, enqueue=90.0, dependents=1)
-    assert select_next_service([young, old], 100.0, params) is old
+    assert min([young, old], key=key) is old
 
 
 def test_select_final_tie_break_is_lowest_ids():
-    params = WeightParams()
+    key = priority_key(WeightParams())
     q = [entry(4, 9, 2), entry(4, 7, 2), entry(3, 9, 2)]
-    winner = select_next_service(q, 0.0, params)
+    winner = min(q, key=key)
     assert (winner.instance_id, winner.service_id) == (3, 9)
-
-
-def test_select_empty_queue_raises():
-    with pytest.raises(EmptyQueue):
-        select_next_service([], 0.0, WeightParams())
-    with pytest.raises(EmptyQueue):
-        greedy_select_service([], "first_finish")
 
 
 def two_node_topology():
@@ -187,15 +178,15 @@ def test_fws_every_node_full_returns_none():
 def test_greedy_service_bias_examples():
     fast = entry(1, 2, 4, exec_ms=30.0)
     slow = entry(0, 1, 4, exec_ms=70.0)
-    assert greedy_select_service([slow, fast], "first_finish") is fast
-    assert greedy_select_service([slow, fast], "decreasing_time") is slow
-    assert greedy_select_service([fast], "decreasing_time") is fast
+    assert min([slow, fast], key=priority_key_for("first_finish")) is fast
+    assert min([slow, fast], key=priority_key_for("decreasing_time")) is slow
+    assert min([fast], key=priority_key_for("decreasing_time")) is fast
 
 
 def test_greedy_service_candidates_are_max_label_set():
     lower_label_shorter = entry(0, 1, 2, exec_ms=5.0)
     top = entry(1, 2, 6, exec_ms=90.0)
-    assert greedy_select_service([lower_label_shorter, top], "first_finish") is top
+    assert min([lower_label_shorter, top], key=priority_key_for("first_finish")) is top
 
 
 def test_greedy_machine_bias_examples():
@@ -242,41 +233,37 @@ def test_policy_registry_has_exactly_four():
 
 
 def random_queue(rng, size):
-    # few distinct values, so ties reach the later key fields
+    # few distinct labels and dependents, and siblings that share an enqueue
+    # time, so ties reach the later key fields
+    times = [rng.uniform(0.0, 500.0) for _ in range(3)]
     return [entry(rng.randrange(4), sid, rng.randint(1, 3),
-                  enqueue=float(rng.choice((0.0, 10.0, 20.0))),
-                  exec_ms=float(rng.choice((20.0, 50.0))),
-                  dependents=rng.randrange(3))
+                  enqueue=rng.choice(times), dependents=rng.randrange(3))
             for sid in range(size)]
 
 
-def drain(queue, select):
-    """Repeated selection: the order a one-at-a-time dispatcher would offer."""
-    queue, out = list(queue), []
-    while queue:
-        out.append(select(queue))
-        queue.remove(out[-1])
-    return out
-
-
-def test_priority_keys_sort_in_selection_order():
-    # the engine sorts its ready queue by these keys once per dispatch pass
+def test_static_fws_key_matches_refreshed_weight_order():
+    # the engine ranks by a key fixed at enqueue; the paper ranks by the
+    # weight at dispatch time, which every entry reads at the same `now`
     rng = random.Random(5)
-    params = WeightParams(alpha_dep=1.0, beta_wait=0.05)
-    for _ in range(50):
+    for _ in range(500):
+        alpha, beta = rng.choice(((0.0, rng.uniform(0.001, 1.0)),
+                                  (rng.uniform(0.1, 5.0), 0.0),
+                                  (rng.uniform(0.1, 5.0), rng.uniform(0.001, 1.0))))
+        params = WeightParams(alpha_dep=alpha, beta_wait=beta)
         q = random_queue(rng, rng.randint(1, 12))
-        by_select = drain(q, lambda rest: select_next_service(rest, 30.0, params))
-        assert sorted(q, key=priority_key) == by_select
-        for bias in ("first_finish", "decreasing_time"):
-            assert sorted(q, key=priority_key_for(bias)) == \
-                drain(q, lambda rest: greedy_select_service(rest, bias))
+        now = max(e.enqueue_time_ms for e in q) + rng.choice(
+            (0.0, rng.uniform(0.0, 1e4)))
+
+        def refreshed(e):
+            return (-e.label, -compute_weight(e, now, params), e.enqueue_time_ms,
+                    e.instance_id, e.service_id)
+
+        assert sorted(q, key=priority_key(params)) == sorted(q, key=refreshed)
 
 
 def test_priority_key_for_rejects_unknown_bias():
     with pytest.raises(ValueError):
         priority_key_for("random")
-    with pytest.raises(ValueError):
-        greedy_select_service([entry(0, 1, 1)], "random")
 
 
 # Reference machine selection: the list-building implementations that the

@@ -1,14 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfcsched.cli import main as cli_main
 from sfcsched.engine import run
 from sfcsched.errors import ParseError, ValidationError
 from sfcsched.metrics import METRIC_NAMES
-from sfcsched.reporting import (SEED_ENV_VAR, SweepSpec, emit_results,
+from sfcsched.reporting import (_CATALOG_KEYS, _CHAIN_KEYS, _FWS_KEYS, _SWEEP_KEYS,
+                                _TOPOLOGY_KEYS, _WORKLOAD_KEYS, SEED_ENV_VAR,
+                                SweepSpec, emit_results,
                                 load_results, parse_scenario, parse_sweep,
-                                render_results, run_sweep)
+                                render_results, run_sweep, scenario_from_dict,
+                                sweep_from_dict)
 from sfcsched.scenario import Scenario
 
 
@@ -201,12 +206,40 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
         ({"rho_max": 1.5}, "topology.rho_max"),
         ({"rho_max": 0}, "topology.rho_max"),
     ]
-    for idx, (topology, field) in enumerate(bad_topologies):
-        path = write_scenario(tmp_path, {"topology": topology}, f"topo{idx}.json")
-        for command in ("validate", "run"):
-            assert cli_main([command, "--scenario", path]) == 2, (topology, command)
+    cases = [({"topology": topology}, field, ("validate", "run"))
+             for topology, field in bad_topologies]
+    good_vm = {"name": "a", "memory_gb": 2.0, "cores": 1,
+               "max_bandwidth_mbps": 25.0, "hourly_cost": 0.05}
+    cases += [({"workload": workload}, field, ("validate", "run"))
+              for workload, field in [
+                  ({"request_count": "abc"}, "workload.request_count"),
+                  ({"arrival_rate_rps": None}, "workload.arrival_rate_rps"),
+                  ({"sla_delay_range_ms": 7}, "workload.sla_delay_range_ms"),
+                  ({"service_cores_choices": 2}, "workload.service_cores_choices"),
+                  ({"rng_seed": "x"}, "workload.rng_seed")]]
+    cases += [({"chains": [chain]}, field, ("validate", "run"))
+              for chain, field in [
+                  ({"chain_id": 1, "nodes": 5}, "chains[0].nodes"),
+                  ({"chain_id": 1, "nodes": [1], "edges": [[1]]}, "chains[0].edges"),
+                  ({"chain_id": 1, "nodes": [1, 2], "edges": [[1, 2], [2, 1]]},
+                   "chains[0].edges"),
+                  (5, "chains[0]")]]
+    cases += [({"catalog": [dict(good_vm, **vm)]}, field, ("validate", "run"))
+              for vm, field in [
+                  ({"memory_gb": 0}, "catalog[0].memory_gb"),
+                  ({"cores": 0}, "catalog[0].cores"),
+                  ({"hourly_cost": -1}, "catalog[0].hourly_cost")]]
+    cases += [({"sweep": sweep}, field, ("validate", "sweep"))
+              for sweep, field in [
+                  ({"repetitions": "a"}, "sweep.repetitions"),
+                  ({"demand_points": 5}, "sweep.demand_points"),
+                  ({"policies": []}, "sweep.policies")]]
+    for idx, (payload, field, commands) in enumerate(cases):
+        path = write_scenario(tmp_path, payload, f"bad{idx}.json")
+        for command in commands:
+            assert cli_main([command, "--scenario", path]) == 2, (payload, command)
             err = capsys.readouterr().err
-            assert field in err and "Traceback" not in err, (topology, command)
+            assert field in err and "Traceback" not in err, (payload, command)
 
 
 def test_cli_sweep_stdout(tmp_path, capsys):
@@ -218,3 +251,40 @@ def test_cli_sweep_stdout(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["rows"]) == 4
+
+
+# Any JSON value; small numbers and short lists of them are drawn often, so
+# many examples get past the first checks to the later ones.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.integers()
+    | st.floats(-1.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4) | st.sampled_from(("fws", "lfff", "transitive")),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6)
+
+
+def section(keys):
+    return st.dictionaries(st.sampled_from(keys), json_values) | json_values
+
+
+def entries(keys):
+    return st.lists(section(keys), max_size=3) | json_values
+
+
+SECTIONS = {"topology": section(_TOPOLOGY_KEYS), "workload": section(_WORKLOAD_KEYS),
+            "fws": section(_FWS_KEYS), "sweep": section(_SWEEP_KEYS),
+            "catalog": entries(_CATALOG_KEYS), "chains": entries(_CHAIN_KEYS)}
+
+
+# one section alone reaches its own checks; several test their order
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(raw=st.one_of(*[st.fixed_dictionaries({name: body})
+                       for name, body in SECTIONS.items()],
+                     st.fixed_dictionaries({}, optional=SECTIONS)))
+def test_scenario_fuzz_fails_only_with_scenario_errors(raw):
+    for parse in (scenario_from_dict, sweep_from_dict):
+        try:
+            parse(raw)
+        except (ParseError, ValidationError):
+            pass
