@@ -1,7 +1,7 @@
 """Service chains, bottom-up labeling, and fair weights.
 
 A chain is a DAG of micro-services; an edge (i, j) means j starts only after
-i finishes.  The scheduler labels each arriving chain instance bottom-up:
+i finishes.  The scheduler labels each chain bottom-up, once per run:
 sinks first, shortest execution time breaking ties, so the label of a
 service grows with its remaining depth.  The highest label dispatches first;
 equal labels fall back to the fair weight.

@@ -5,8 +5,8 @@ weighted affinity-based policy and four biased-greedy baselines, and reports
 inter-machine traffic, turnaround, SLA satisfaction and hourly cost.
 """
 
-from .chains import (ChainInstance, MicroServiceDef, ServiceChain, UserRequest,
-                     build_chain, canonical_sfcs, ready_services)
+from .chains import (MicroServiceDef, ServiceChain, UserRequest, canonical_sfcs,
+                     ready_services)
 from .engine import Placement, SimulationRun, run
 from .fws import (LabeledService, WeightParams, assign_labels, compute_weight,
                   select_machine_fws)

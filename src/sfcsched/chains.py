@@ -1,19 +1,14 @@
-"""Service chains: micro-service definitions, precedence DAGs, per-request instances.
+"""Service chains: micro-service definitions, precedence DAGs and requests.
 
 A chain is a DAG over small integer service ids.  An edge (i, j) means j may
-start only after i has finished.  Chains are immutable once built; the
-per-request :class:`ChainInstance` tracks execution status and is mutated
-only by the simulation loop.
+start only after i has finished.  Chains are immutable once built; a request's
+progress through its chain is a count of unfinished predecessors per service,
+kept by the simulation loop and advanced by :func:`ready_services`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CycleDetected, DanglingEdge, UnknownService
-
-WAITING = "waiting"
-READY = "ready"
-RUNNING = "running"
-DONE = "done"
 
 
 @dataclass(frozen=True)
@@ -35,7 +30,8 @@ class MicroServiceDef:
 
 
 class ServiceChain:
-    """Immutable precedence DAG of service ids."""
+    """Immutable precedence DAG of service ids; construction rejects an empty
+    node set, dangling edges and cycles."""
 
     def __init__(self, chain_id, nodes, edges):
         self.chain_id = chain_id
@@ -105,11 +101,6 @@ class ServiceChain:
         return f"ServiceChain({self.chain_id}, nodes={sorted(self.nodes)})"
 
 
-def build_chain(chain_id, nodes, edges) -> ServiceChain:
-    """Validate and build a chain; rejects cycles and dangling edges."""
-    return ServiceChain(chain_id, nodes, edges)
-
-
 def canonical_sfcs():
     """The four evaluation chains covering service ids 1..20.
 
@@ -117,11 +108,11 @@ def canonical_sfcs():
     and 4 partition the remaining ids with one fork each.
     """
     return [
-        build_chain(1, {1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (3, 5)}),
-        build_chain(2, {6, 7, 8, 9, 10}, {(6, 7), (6, 8), (7, 9), (8, 9), (9, 10)}),
-        build_chain(3, {11, 12, 13, 14}, {(11, 12), (12, 13), (12, 14)}),
-        build_chain(4, {15, 16, 17, 18, 19, 20},
-                    {(15, 16), (15, 17), (16, 18), (17, 18), (18, 19), (18, 20)}),
+        ServiceChain(1, {1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (3, 5)}),
+        ServiceChain(2, {6, 7, 8, 9, 10}, {(6, 7), (6, 8), (7, 9), (8, 9), (9, 10)}),
+        ServiceChain(3, {11, 12, 13, 14}, {(11, 12), (12, 13), (12, 14)}),
+        ServiceChain(4, {15, 16, 17, 18, 19, 20},
+                     {(15, 16), (15, 17), (16, 18), (17, 18), (18, 19), (18, 20)}),
     ]
 
 
@@ -142,51 +133,12 @@ class UserRequest:
             raise ValueError(f"request {self.request_id}: negative arrival time")
 
 
-@dataclass
-class ChainInstance:
-    """Per-request copy of a chain with execution status per service."""
-
-    instance_id: int
-    chain: ServiceChain
-    request_id: int
-    status: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.status:
-            self.status = {n: WAITING for n in self.chain.nodes}
-
-    def mark_ready(self, service_id):
-        self._transition(service_id, WAITING, READY)
-
-    def mark_running(self, service_id):
-        self._transition(service_id, READY, RUNNING)
-
-    def mark_done(self, service_id):
-        self._transition(service_id, RUNNING, DONE)
-
-    def _transition(self, service_id, expect, to):
-        cur = self.status[service_id]
-        if cur != expect:
-            raise ValueError(
-                f"instance {self.instance_id} service {service_id}: "
-                f"cannot move {cur} -> {to}")
-        self.status[service_id] = to
-
-    def done(self, service_id):
-        return self.status[service_id] == DONE
-
-    def all_done(self):
-        return all(s == DONE for s in self.status.values())
-
-
-def ready_services(instance: ChainInstance):
-    """Waiting services whose predecessors are all done.  Pure query."""
-    chain = instance.chain
-    out = set()
-    for n in chain.nodes:
-        if instance.status[n] != WAITING:
-            continue
-        if all(instance.done(p) for p in chain.predecessors(n)):
-            out.add(n)
-    return out
-
+def ready_services(chain, finished, unfinished_preds):
+    """Count service `finished` off its successors' unfinished predecessors
+    and return, in id order, the successors that have none left."""
+    ready = []
+    for succ in chain.successors(finished):
+        unfinished_preds[succ] -= 1
+        if unfinished_preds[succ] == 0:
+            ready.append(succ)
+    return ready

@@ -1,7 +1,7 @@
 """Discrete-event simulation of chain scheduling across the multi-cloud.
 
-One run owns all mutable state (event heap, machines, link loads, instance
-status) and executes on a single logical thread.  Event ordering at equal
+One run owns all mutable state (event heap, machines, link loads, request
+progress) and executes on a single logical thread.  Event ordering at equal
 timestamps is fixed: finish < transfer < start < arrival, then sequence
 number, so identical inputs replay identically.
 
@@ -21,7 +21,7 @@ import bisect
 import heapq
 from dataclasses import dataclass, field
 
-from .chains import ChainInstance, ready_services
+from .chains import ready_services
 from .errors import NoFeasibleType
 from .fws import LabeledService, assign_labels, priority_key, select_machine_fws
 from .greedy import GREEDY_POLICIES, greedy_select_machine, priority_key_for
@@ -54,8 +54,8 @@ class Placement:
 @dataclass
 class _RequestState:
     request: object
-    instance: ChainInstance
-    labels: dict
+    unfinished_preds: dict     # service_id -> predecessors not yet finished
+    remaining: int             # services not yet finished
     dropped: bool = False
     completed_ms: float = None
 
@@ -75,6 +75,12 @@ class SimulationRun:
             else sample_service_defs(scenario)
         self.requests = requests if requests is not None \
             else generate_workload(scenario)
+        # every request of a chain shares its service definitions, so one
+        # labeling per chain serves the whole run
+        self.labels = {
+            cid: assign_labels(chain, {sid: self.defs[sid].exec_time_ms
+                                       for sid in chain.nodes})
+            for cid, chain in self.chains.items()}
 
         self.now = 0.0
         self._seq = 0
@@ -116,7 +122,11 @@ class SimulationRun:
             elif kind == EVENT_FINISH:
                 self._on_finish(*payload)
             elif kind == EVENT_START:
-                self._on_start(*payload)
+                # A start frees nothing, but it is a dispatch time: queued
+                # entries may first see a machine that has finished booting,
+                # and entries past their delay SLA are dropped.  Without
+                # this pass the seeded schedules change.
+                self._dispatch()
             elif kind == EVENT_TRANSFER:
                 self._on_transfer_done(payload)
         # Anything still queued can never be placed: no capacity-releasing
@@ -130,19 +140,13 @@ class SimulationRun:
 
     def _on_arrival(self, request):
         chain = self.chains[request.chain_id]
-        instance = ChainInstance(request.request_id, chain, request.request_id)
-        exec_times = {sid: self.defs[sid].exec_time_ms for sid in chain.nodes}
-        labels = assign_labels(chain, exec_times)
-        state = _RequestState(request, instance, labels)
+        state = _RequestState(
+            request, {n: len(chain.predecessors(n)) for n in chain.nodes},
+            len(chain.nodes))
         self.states[request.request_id] = state
         self.arrived += 1
-        for sid in sorted(ready_services(instance)):
+        for sid in chain.sources():
             self._enqueue(state, sid)
-        self._dispatch()
-
-    def _on_start(self, instance_id, service_id):
-        state = self.states[instance_id]
-        state.instance.mark_running(service_id)
         self._dispatch()
 
     def _on_finish(self, instance_id, service_id, machine):
@@ -150,18 +154,16 @@ class SimulationRun:
         sdef = self.defs[service_id]
         machine.buffer_service((instance_id, service_id),
                                sdef.memory_gb, sdef.cores)
-        state.instance.mark_done(service_id)
+        state.remaining -= 1
         if not state.dropped:
-            if state.instance.all_done():
+            if state.remaining == 0:
                 state.completed_ms = self.now
                 self.completed += 1
             else:
-                # enqueueing marks only that successor ready, so one query
-                # serves the whole loop
-                ready = ready_services(state.instance)
-                for succ in sorted(state.instance.chain.successors(service_id)):
-                    if succ in ready:
-                        self._enqueue(state, succ)
+                chain = self.chains[state.request.chain_id]
+                for succ in ready_services(chain, service_id,
+                                           state.unfinished_preds):
+                    self._enqueue(state, succ)
         self._dispatch()
 
     def _on_transfer_done(self, transfer):
@@ -173,16 +175,15 @@ class SimulationRun:
     # ---------------------------------------------------------------- dispatch
 
     def _enqueue(self, state, service_id):
-        state.instance.mark_ready(service_id)
-        chain = state.instance.chain
+        chain = self.chains[state.request.chain_id]
         if self.scenario.weights.dependents == "transitive":
             dependents = chain.transitive_dependents(service_id)
         else:
             dependents = chain.immediate_dependents(service_id)
         bisect.insort(self.ready, LabeledService(
-            instance_id=state.instance.instance_id,
+            instance_id=state.request.request_id,
             service_id=service_id,
-            label=state.labels[service_id],
+            label=self.labels[chain.chain_id][service_id],
             enqueue_time_ms=self.now,
             exec_time_ms=self.defs[service_id].exec_time_ms,
             dependents=dependents,
@@ -238,7 +239,7 @@ class SimulationRun:
             return None
 
     def _pred_placements(self, entry):
-        chain = self.states[entry.instance_id].instance.chain
+        chain = self.chains[self.states[entry.instance_id].request.chain_id]
         out = []
         for pred in sorted(chain.predecessors(entry.service_id)):
             placement = self._placed[(entry.instance_id, pred)]
@@ -254,6 +255,9 @@ class SimulationRun:
         return machine
 
     def _place(self, entry, choice):
+        key = (entry.instance_id, entry.service_id)
+        if key in self._placed:
+            raise AssertionError(f"{key} placed twice")
         t = self.now
         sdef = self.defs[entry.service_id]
         if choice[0] == "provision":
@@ -264,7 +268,6 @@ class SimulationRun:
         else:
             machine = choice[1]
             boot_ms = max(0.0, machine.active_at_ms - t)
-        key = (entry.instance_id, entry.service_id)
         machine.allocate(key, sdef.memory_gb, sdef.cores)
 
         transfers_in = {}
@@ -297,7 +300,7 @@ class SimulationRun:
             transfers_in=transfers_in)
         self.placements.append(placement)
         self._placed[key] = placement
-        self._push(start, EVENT_START, (entry.instance_id, entry.service_id))
+        self._push(start, EVENT_START, None)
         self._push(finish, EVENT_FINISH,
                    (entry.instance_id, entry.service_id, machine))
 

@@ -49,10 +49,12 @@ class ParseError(SfcSchedError):
     """Scenario file is not well-formed."""
 
 
-class ValidationError(SfcSchedError):
+class ValidationError(SfcSchedError, ValueError):
     """Scenario content violates an invariant.
 
-    Carries the dotted path of the offending field for error reporting.
+    Carries the dotted path of the offending field for error reporting.  It
+    is also a ValueError, which value classes such as ``WeightParams`` raise
+    when built with a bad field outside any scenario file.
     """
 
     def __init__(self, field, message):

@@ -9,6 +9,7 @@ network.
 import heapq
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .infrastructure import nearest_vm_type
 
 TRANSITIVE = "transitive"
@@ -24,12 +25,17 @@ class WeightParams:
     dependents: str = TRANSITIVE
 
     def __post_init__(self):
-        if self.alpha_dep < 0 or self.beta_wait < 0:
-            raise ValueError("weight coefficients must be nonnegative")
+        for name in ("alpha_dep", "beta_wait"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not value >= 0:
+                raise ValidationError(f"fws.{name}", "must be a nonnegative number")
         if self.alpha_dep == 0 and self.beta_wait == 0:
-            raise ValueError("at least one weight coefficient must be positive")
+            raise ValidationError("fws",
+                                  "at least one weight coefficient must be positive")
         if self.dependents not in (TRANSITIVE, IMMEDIATE):
-            raise ValueError(f"unknown dependents mode {self.dependents!r}")
+            raise ValidationError("fws.dependents",
+                                  f"must be {TRANSITIVE!r} or {IMMEDIATE!r}")
 
 
 @dataclass

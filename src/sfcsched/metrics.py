@@ -78,21 +78,21 @@ def validate_run(sim) -> None:
     matches an independent recount.  Raises AssertionError.
     """
     defs = sim.defs
-    chain_of_instance = {rid: st.instance.chain for rid, st in sim.states.items()}
+    chain_of_instance = {rid: sim.chains[st.request.chain_id]
+                         for rid, st in sim.states.items()}
     by_key = {(p.instance_id, p.service_id): p for p in sim.placements}
 
     # conservation
     assert sim.completed + sim.dropped == sim.arrived, "conservation violated"
 
-    # labels: permutation per instance, decreasing along edges
-    for rid, st in sim.states.items():
-        labels = st.labels
-        n = len(st.instance.chain.nodes)
-        assert sorted(labels.values()) == list(range(1, n + 1)), \
-            f"instance {rid}: labels are not a permutation"
-        for i, j in st.instance.chain.edges:
+    # labels: permutation per chain, decreasing along edges
+    for cid, labels in sim.labels.items():
+        chain = sim.chains[cid]
+        assert sorted(labels.values()) == list(range(1, len(chain.nodes) + 1)), \
+            f"chain {cid}: labels are not a permutation"
+        for i, j in chain.edges:
             assert labels[i] > labels[j], \
-                f"instance {rid}: label({i}) <= label({j}) on edge"
+                f"chain {cid}: label({i}) <= label({j}) on edge"
 
     # placement timing identities and precedence
     for p in sim.placements:

@@ -10,7 +10,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .chains import build_chain
+from .chains import ServiceChain
 from .engine import run
 from .errors import CycleDetected, DanglingEdge, IoError, ParseError, ValidationError
 from .fws import WeightParams
@@ -185,8 +185,8 @@ def scenario_from_dict(raw) -> Scenario:
                              and all(_is_int(n) for n in e) for e in edges),
                      f"{path}.edges", "must list [from, to] service id pairs")
             try:
-                chains.append(build_chain(entry["chain_id"], set(nodes),
-                                          {tuple(e) for e in edges}))
+                chains.append(ServiceChain(entry["chain_id"], set(nodes),
+                                           {tuple(e) for e in edges}))
             except (CycleDetected, DanglingEdge) as exc:
                 raise ValidationError(f"{path}.edges", str(exc)) from exc
         chains_kw = {"chains": chains}
@@ -197,10 +197,7 @@ def scenario_from_dict(raw) -> Scenario:
     fws_raw = _section(raw, "fws", _FWS_KEYS)
     fws_kw = dict(fws_raw)
     resume = fws_kw.pop("resume_latency_ms", None)
-    try:
-        weights_kw = {"weights": WeightParams(**fws_kw)} if fws_kw else {}
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("fws", str(exc)) from exc
+    weights_kw = {"weights": WeightParams(**fws_kw)} if fws_kw else {}
     resume_kw = {"resume_latency_ms": resume} if resume is not None else {}
 
     try:

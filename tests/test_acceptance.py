@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from sfcsched.chains import build_chain
+from sfcsched.chains import ServiceChain
 from sfcsched.engine import SimulationRun
 from sfcsched.fws import assign_labels
 from sfcsched.infrastructure import (CloudNode, Link, Topology, default_catalog,
@@ -109,7 +109,7 @@ def test_criterion_02_labeling_matches_bruteforce_reference():
         n = rng.randint(1, 12)
         edges = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                  if rng.random() < 0.3}
-        chain = build_chain(0, set(range(1, n + 1)), edges)
+        chain = ServiceChain(0, set(range(1, n + 1)), edges)
         exec_ms = {v: rng.uniform(10, 100) for v in chain.nodes}
         got = assign_labels(chain, exec_ms)
         assert sorted(got.values()) == list(range(1, n + 1))
@@ -233,9 +233,9 @@ FIXTURE_EXEC = {1: 40.0, 2: 60.0, 3: 30.0,
 
 
 def _fixture_chains():
-    return [build_chain(1, {1, 2, 3}, {(1, 2), (2, 3)}),
-            build_chain(2, {4, 5, 6, 7}, {(4, 5), (4, 6), (5, 7), (6, 7)}),
-            build_chain(3, {8, 9}, {(8, 9)})]
+    return [ServiceChain(1, {1, 2, 3}, {(1, 2), (2, 3)}),
+            ServiceChain(2, {4, 5, 6, 7}, {(4, 5), (4, 6), (5, 7), (6, 7)}),
+            ServiceChain(3, {8, 9}, {(8, 9)})]
 
 
 def _fixture_topology():

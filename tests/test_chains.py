@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from sfcsched.chains import (ChainInstance, MicroServiceDef, UserRequest,
-                             build_chain, canonical_sfcs, ready_services)
+from sfcsched.chains import (MicroServiceDef, ServiceChain, UserRequest,
+                             canonical_sfcs, ready_services)
 from sfcsched.errors import CycleDetected, DanglingEdge, UnknownService
 
 
 def sfc1():
-    return build_chain(1, {1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (3, 5)})
+    return ServiceChain(1, {1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (3, 5)})
 
 
 def test_build_chain_fork():
@@ -18,23 +18,23 @@ def test_build_chain_fork():
 
 
 def test_build_chain_singleton():
-    chain = build_chain(9, {7}, set())
+    chain = ServiceChain(9, {7}, set())
     assert chain.sources() == [7] == chain.sinks()
 
 
 def test_build_chain_rejects_cycle():
     with pytest.raises(CycleDetected):
-        build_chain(1, {1, 2}, {(1, 2), (2, 1)})
+        ServiceChain(1, {1, 2}, {(1, 2), (2, 1)})
 
 
 def test_build_chain_rejects_dangling_edge():
     with pytest.raises(DanglingEdge):
-        build_chain(1, {1, 2}, {(1, 3)})
+        ServiceChain(1, {1, 2}, {(1, 3)})
 
 
 def test_build_chain_rejects_empty():
     with pytest.raises(ValueError):
-        build_chain(1, set(), set())
+        ServiceChain(1, set(), set())
 
 
 def test_canonical_first_chain_has_linear_prefix():
@@ -62,46 +62,47 @@ def test_canonical_ids_ordered_along_every_path():
             assert i < j
 
 
-def make_instance(chain, done=()):
-    inst = ChainInstance(0, chain, 0)
-    order = sorted(done)
-    for sid in order:
-        inst.mark_ready(sid)
-        inst.mark_running(sid)
-        inst.mark_done(sid)
-    return inst
+def unfinished_preds(chain):
+    return {n: len(chain.predecessors(n)) for n in chain.nodes}
+
+
+def finish_in_turn(chain, order):
+    """What ready_services returns as each service of `order` finishes."""
+    counts = unfinished_preds(chain)
+    return [ready_services(chain, sid, counts) for sid in order]
 
 
 def test_ready_after_prefix():
-    inst = make_instance(sfc1(), done=(1, 2))
-    assert ready_services(inst) == {3}
+    assert finish_in_turn(sfc1(), (1, 2)) == [[2], [3]]
 
 
 def test_ready_parallel_branches():
-    inst = make_instance(sfc1(), done=(1, 2, 3))
-    assert ready_services(inst) == {4, 5}
+    assert finish_in_turn(sfc1(), (1, 2, 3)) == [[2], [3], [4, 5]]
 
 
 def test_ready_fresh_instance_source_only():
-    inst = make_instance(canonical_sfcs()[1])
-    assert ready_services(inst) == {6}
+    chain = canonical_sfcs()[1]
+    assert chain.sources() == [6]
+    # the join 9 waits for its last predecessor
+    assert finish_in_turn(chain, (6, 7, 8)) == [[7, 8], [], [9]]
 
 
 def test_ready_disjoint_from_started():
-    inst = make_instance(sfc1(), done=(1,))
-    inst.mark_ready(2)
-    inst.mark_running(2)
-    ready = ready_services(inst)
-    assert 2 not in ready and ready <= inst.chain.nodes
-
-
-def test_status_transitions_are_monotone():
-    inst = make_instance(sfc1())
-    with pytest.raises(ValueError):
-        inst.mark_running(1)  # never marked ready
-    inst.mark_ready(1)
-    with pytest.raises(ValueError):
-        inst.mark_done(1)  # never started
+    # finishing in any precedence order releases every non-source exactly
+    # once, and only after all of its predecessors
+    rng = random.Random(7)
+    for _ in range(200):
+        chain = random_dag(rng)
+        counts = unfinished_preds(chain)
+        released = list(chain.sources())
+        finished = set()
+        while len(finished) < len(chain.nodes):
+            sid = rng.choice(sorted(set(released) - finished))
+            finished.add(sid)
+            for succ in ready_services(chain, sid, counts):
+                assert set(chain.predecessors(succ)) <= finished
+                released.append(succ)
+        assert sorted(released) == sorted(chain.nodes)
 
 
 def test_transitive_dependents_examples():
@@ -123,7 +124,7 @@ def random_dag(rng, max_nodes=10):
         for j in nodes:
             if i < j and rng.random() < 0.3:
                 edges.add((i, j))
-    return build_chain(0, set(nodes), edges)
+    return ServiceChain(0, set(nodes), edges)
 
 
 def reachable_matrix(chain):

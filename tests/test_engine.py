@@ -2,15 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcsched.chains import MicroServiceDef, UserRequest, build_chain, canonical_sfcs
+from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest, canonical_sfcs
 from sfcsched.engine import SimulationRun, run
+from sfcsched.fws import LabeledService
 from sfcsched.infrastructure import VmType, default_catalog
 from sfcsched.metrics import validate_run
 from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
 
 
 def single_service_scenario(policy="fws"):
-    chain = build_chain(1, {7}, set())
+    chain = ServiceChain(1, {7}, set())
     return Scenario(policy=policy, chains=[chain], request_count=1)
 
 
@@ -39,7 +40,7 @@ def test_resume_latency_delays_start_exactly():
 
 
 def test_whole_chain_on_one_big_machine_has_zero_traffic():
-    chain = build_chain(1, {1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (3, 5)})
+    chain = ServiceChain(1, {1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (3, 5)})
     sc = Scenario(policy="fws", chains=[chain], request_count=1,
                   catalog=[VmType("xlarge", 32.0, 8, 25.0, 0.5)])
     defs = {i: MicroServiceDef(i, 20.0 + i, 10.0, 50.0, 1.0, 1) for i in chain.nodes}
@@ -53,7 +54,7 @@ def test_whole_chain_on_one_big_machine_has_zero_traffic():
 
 def test_affinity_fires_when_predecessor_machine_has_room():
     # linear chain on 1-core machines: every hop reuses the freed machine
-    chain = build_chain(1, {1, 2, 3}, {(1, 2), (2, 3)})
+    chain = ServiceChain(1, {1, 2, 3}, {(1, 2), (2, 3)})
     sc = Scenario(policy="fws", chains=[chain], request_count=1)
     defs = {i: MicroServiceDef(i, 30.0, 10.0, 50.0, 1.0, 1) for i in chain.nodes}
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0)]
@@ -65,7 +66,7 @@ def test_affinity_fires_when_predecessor_machine_has_room():
 
 def test_precedence_timing_with_transfer():
     # two-service chain forced onto different machines by a 1-slot-per-node grid
-    chain = build_chain(1, {1, 2}, {(1, 2)})
+    chain = ServiceChain(1, {1, 2}, {(1, 2)})
     sc = Scenario(policy="lfff", chains=[chain], request_count=2,
                   topology_spec=TopologySpec(micro_count=4, core_count=1))
     defs = {1: MicroServiceDef(1, 50.0, 12.0, 50.0, 1.8, 1),
@@ -108,7 +109,7 @@ def test_seed_determinism_bitwise():
 
 
 def test_no_capacity_drops_request_instead_of_crashing():
-    chain = build_chain(1, {1}, set())
+    chain = ServiceChain(1, {1}, set())
     topo = TopologySpec(micro_count=1, core_count=1, micro_slots=1, core_slots=1)
     sc = Scenario(policy="fws", chains=[chain], request_count=3,
                   topology_spec=topo)
@@ -126,7 +127,7 @@ def test_no_capacity_drops_request_instead_of_crashing():
 
 
 def test_oversized_demand_drops_not_crashes():
-    chain = build_chain(1, {1}, set())
+    chain = ServiceChain(1, {1}, set())
     sc = Scenario(policy="lfff", chains=[chain], request_count=1)
     defs = {1: MicroServiceDef(1, 50.0, 10.0, 50.0, 64.0, 32)}
     reqs = [UserRequest(0, 1, 0.0, 100.0, 10.0)]
@@ -163,7 +164,7 @@ def test_conservation_across_policies():
 
 def test_policies_agree_when_there_is_no_choice():
     # one machine, one chain: every policy co-locates, traffic vanishes
-    chain = build_chain(1, {1, 2, 3, 4}, {(1, 2), (2, 3), (2, 4)})
+    chain = ServiceChain(1, {1, 2, 3, 4}, {(1, 2), (2, 3), (2, 4)})
     topo = TopologySpec(micro_count=1, core_count=1, micro_slots=1, core_slots=1)
     defs = {i: MicroServiceDef(i, 25.0, 10.0, 50.0, 1.0, 1) for i in chain.nodes}
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0)]
@@ -193,7 +194,7 @@ def count_selections(monkeypatch):
 
 def test_dispatch_skips_a_demand_that_already_failed(monkeypatch):
     # services 1 and 2 exceed every catalog type and outrank service 3
-    chain = build_chain(1, {1, 2, 3}, set())
+    chain = ServiceChain(1, {1, 2, 3}, set())
     sc = Scenario(policy="fws", chains=[chain], request_count=1)
     defs = {1: MicroServiceDef(1, 90.0, 10.0, 50.0, 64.0, 1),
             2: MicroServiceDef(2, 80.0, 10.0, 50.0, 64.0, 1),
@@ -208,7 +209,7 @@ def test_dispatch_skips_a_demand_that_already_failed(monkeypatch):
 
 
 def test_expired_entry_drops_even_when_its_demand_is_memoised(monkeypatch):
-    chain = build_chain(1, {1}, set())
+    chain = ServiceChain(1, {1}, set())
     sc = Scenario(policy="lfff", chains=[chain], request_count=3)
     defs = {1: MicroServiceDef(1, 50.0, 10.0, 50.0, 64.0, 1)}
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0),
@@ -223,6 +224,22 @@ def test_expired_entry_drops_even_when_its_demand_is_memoised(monkeypatch):
     assert len(seen) == 3
     assert [sim.states[i].dropped for i in range(3)] == [False, True, False]
     assert sorted(e.instance_id for e in sim.ready) == [0, 2]
+
+
+def test_placing_a_service_twice_is_rejected():
+    chain = ServiceChain(1, {1}, set())
+    sc = Scenario(policy="lfff", chains=[chain], request_count=1)
+    defs = {1: MicroServiceDef(1, 50.0, 10.0, 50.0, 1.0, 1)}
+    reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0)]
+    sim = SimulationRun(sc, requests=reqs, service_defs=defs)
+    sim._on_arrival(reqs[0])  # places service 1
+    assert [(p.instance_id, p.service_id) for p in sim.placements] == [(0, 1)]
+    entry = LabeledService(instance_id=0, service_id=1, label=1, enqueue_time_ms=0.0,
+                           exec_time_ms=50.0, dependents=0)
+    choice = sim._select_machine(entry)
+    assert choice is not None
+    with pytest.raises(AssertionError, match="placed twice"):
+        sim._place(entry, choice)
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -259,7 +276,7 @@ def random_chains(draw):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         edges = {e for e, keep in zip(pairs, draw(st.lists(
             st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep}
-        chains.append(build_chain(chain_id, set(range(1, n + 1)), edges))
+        chains.append(ServiceChain(chain_id, set(range(1, n + 1)), edges))
     return chains
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from sfcsched.chains import MicroServiceDef, UserRequest, build_chain
+from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest
 from sfcsched.engine import Placement
 from sfcsched.infrastructure import Machine, default_catalog
 from sfcsched.metrics import accumulate_traffic, check_sla, total_cost
@@ -26,21 +26,21 @@ def test_check_sla_examples():
 
 
 def test_traffic_zero_when_colocated():
-    chain = build_chain(1, {1, 2, 3}, {(1, 2), (2, 3)})
+    chain = ServiceChain(1, {1, 2, 3}, {(1, 2), (2, 3)})
     placements = [place(0, 1, 0), place(0, 2, 0), place(0, 3, 0)]
     assert accumulate_traffic(placements, {0: chain}, mkdefs({1: 10, 2: 10, 3: 10})) == 0.0
 
 
 def test_traffic_single_crossing_edge():
-    chain = build_chain(1, {1, 2}, {(1, 2)})
+    chain = ServiceChain(1, {1, 2}, {(1, 2)})
     placements = [place(0, 1, 0), place(0, 2, 1)]
     assert accumulate_traffic(placements, {0: chain},
                               mkdefs({1: 12.0, 2: 9.0})) == 12.0
 
 
 def test_traffic_sfc2_split():
-    chain = build_chain(2, {6, 7, 8, 9, 10},
-                        {(6, 7), (6, 8), (7, 9), (8, 9), (9, 10)})
+    chain = ServiceChain(2, {6, 7, 8, 9, 10},
+                         {(6, 7), (6, 8), (7, 9), (8, 9), (9, 10)})
     # 6 alone on machine 0; 7,8,9 on machine 1; 10 on machine 2:
     # crossing edges are (6,7), (6,8) and (9,10)
     placements = [place(0, 6, 0), place(0, 7, 1), place(0, 8, 1),
@@ -50,7 +50,7 @@ def test_traffic_sfc2_split():
 
 
 def test_traffic_skips_unplaced_services():
-    chain = build_chain(1, {1, 2}, {(1, 2)})
+    chain = ServiceChain(1, {1, 2}, {(1, 2)})
     placements = [place(0, 1, 0)]  # request dropped before service 2 ran
     assert accumulate_traffic(placements, {0: chain}, mkdefs({1: 12.0, 2: 9.0})) == 0.0
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sfcsched.chains import build_chain
+from sfcsched.chains import ServiceChain
 from sfcsched.errors import NoFeasibleType
 from sfcsched.fws import (LabeledService, WeightParams, assign_labels,
                           compute_weight, priority_key, select_machine_fws)
@@ -26,19 +26,19 @@ def naive_labels(chain, exec_time_ms):
 
 
 def test_labels_linear_chain_reversed():
-    chain = build_chain(0, {1, 2, 3}, {(1, 2), (2, 3)})
+    chain = ServiceChain(0, {1, 2, 3}, {(1, 2), (2, 3)})
     exec_ms = {1: 42.0, 2: 11.0, 3: 99.0}
     assert assign_labels(chain, exec_ms) == {3: 1, 2: 2, 1: 3}
 
 
 def test_labels_fork_prefers_short_execution():
-    chain = build_chain(1, {1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (3, 5)})
+    chain = ServiceChain(1, {1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (3, 5)})
     exec_ms = {1: 60.0, 2: 60.0, 3: 60.0, 4: 30.0, 5: 50.0}
     assert assign_labels(chain, exec_ms) == {4: 1, 5: 2, 3: 3, 2: 4, 1: 5}
 
 
 def test_labels_singleton():
-    chain = build_chain(0, {7}, set())
+    chain = ServiceChain(0, {7}, set())
     assert assign_labels(chain, {7: 10.0}) == {7: 1}
 
 
@@ -46,7 +46,7 @@ def random_dag(rng, max_nodes=12):
     n = rng.randint(1, max_nodes)
     edges = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              if rng.random() < 0.35}
-    return build_chain(0, set(range(1, n + 1)), edges)
+    return ServiceChain(0, set(range(1, n + 1)), edges)
 
 
 def test_labels_match_reference_on_random_dags():

@@ -229,6 +229,12 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"memory_gb": 0}, "catalog[0].memory_gb"),
                   ({"cores": 0}, "catalog[0].cores"),
                   ({"hourly_cost": -1}, "catalog[0].hourly_cost")]]
+    cases += [({"fws": fws}, field, ("validate", "run"))
+              for fws, field in [
+                  ({"alpha_dep": True, "beta_wait": False}, "fws.alpha_dep"),
+                  ({"alpha_dep": "x"}, "fws.alpha_dep"),
+                  ({"beta_wait": -1}, "fws.beta_wait"),
+                  ({"dependents": 3}, "fws.dependents")]]
     cases += [({"sweep": sweep}, field, ("validate", "sweep"))
               for sweep, field in [
                   ({"repetitions": "a"}, "sweep.repetitions"),
@@ -278,13 +284,26 @@ SECTIONS = {"topology": section(_TOPOLOGY_KEYS), "workload": section(_WORKLOAD_K
 
 
 # one section alone reaches its own checks; several test their order
+SCENARIO_DICTS = st.one_of(*[st.fixed_dictionaries({name: body})
+                             for name, body in SECTIONS.items()],
+                           st.fixed_dictionaries({}, optional=SECTIONS))
+
+
 @settings(max_examples=500, deadline=None, database=None, derandomize=True)
-@given(raw=st.one_of(*[st.fixed_dictionaries({name: body})
-                       for name, body in SECTIONS.items()],
-                     st.fixed_dictionaries({}, optional=SECTIONS)))
+@given(raw=SCENARIO_DICTS)
 def test_scenario_fuzz_fails_only_with_scenario_errors(raw):
     for parse in (scenario_from_dict, sweep_from_dict):
         try:
             parse(raw)
         except (ParseError, ValidationError):
             pass
+
+
+# `validate` builds no topology and draws no workload, so the huge counts
+# it may accept cost nothing
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(raw=SCENARIO_DICTS | json_values)
+def test_cli_validate_fuzz_exits_0_or_2(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["validate", "--scenario", str(path)]) in (0, 2)
