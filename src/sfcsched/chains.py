@@ -13,18 +13,17 @@ from .errors import CycleDetected, DanglingEdge, UnknownService
 
 @dataclass(frozen=True)
 class MicroServiceDef:
-    """One micro-service: execution time, output size, capacity and footprint."""
+    """One micro-service: execution time, output size and footprint."""
 
     id: int
     exec_time_ms: float
     data_out_kb: float
-    capacity_rps: float
     memory_gb: float
     cores: int
 
     def __post_init__(self):
-        if self.exec_time_ms <= 0 or self.data_out_kb <= 0 or self.capacity_rps <= 0:
-            raise ValueError(f"service {self.id}: rates and sizes must be positive")
+        if self.exec_time_ms <= 0 or self.data_out_kb <= 0:
+            raise ValueError(f"service {self.id}: times and sizes must be positive")
         if self.memory_gb <= 0 or self.cores < 1:
             raise ValueError(f"service {self.id}: resource demand must be positive")
 

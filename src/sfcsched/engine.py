@@ -327,7 +327,10 @@ class SimulationRun:
         for rid, spans in held_by_request.items():
             total = 0.0
             for mid, span in spans.items():
-                total += (span / held_by_machine[mid]) * \
+                held = held_by_machine[mid]
+                # every span on a machine is 0 only once the clock is too
+                # large to resolve them; no request then held it measurably
+                total += (span / held if held else 0.0) * \
                     self.machines[mid].vm_type.hourly_cost
             costs[rid] = total
         return costs

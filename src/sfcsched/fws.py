@@ -7,6 +7,7 @@ network.
 """
 
 import heapq
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -28,7 +29,7 @@ class WeightParams:
         for name in ("alpha_dep", "beta_wait"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not value >= 0:
+                    or not 0 <= value <= sys.float_info.max:
                 raise ValidationError(f"fws.{name}", "must be a nonnegative number")
         if self.alpha_dep == 0 and self.beta_wait == 0:
             raise ValidationError("fws",

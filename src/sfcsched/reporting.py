@@ -2,13 +2,12 @@
 
 Scenario files are JSON with sections ``topology``, ``catalog``, ``chains``,
 ``workload``, ``fws`` and ``sweep``.  Every field has a documented default;
-unknown keys are rejected with their dotted path.  The environment variable
-``SFC_SCHED_SEED`` overrides the file seed.
+unknown keys are rejected with their dotted path.  The dataclasses define the
+format: each section's keys are the fields of the class it builds.
 """
 
 import json
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .chains import ServiceChain
 from .engine import run
@@ -18,8 +17,6 @@ from .infrastructure import VmType
 from .metrics import METRIC_NAMES
 from .scenario import (POLICY_NAMES, Scenario, TopologySpec, _is_int, _is_list,
                        _is_number, _require)
-
-SEED_ENV_VAR = "SFC_SCHED_SEED"
 
 DEFAULT_DEMAND_POINTS = (100, 500, 1000, 2000, 3000, 4000, 5000)
 DEFAULT_LOAD_POINTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -78,28 +75,27 @@ class ResultRow:
     reps: int
 
 
-def _section(raw, name, allowed):
-    body = raw.get(name, {})
-    if not isinstance(body, dict):
-        raise ValidationError(name, "must be an object")
+def _section(body, path, keys):
+    """A section as keyword arguments: an object with known keys only, its
+    lists turned into tuples."""
+    _require(isinstance(body, dict), path, "must be an object")
     for key in body:
-        if key not in allowed:
-            raise ValidationError(f"{name}.{key}", "unknown key")
-    return body
+        _require(key in keys, f"{path}.{key}", "unknown key")
+    return {k: (tuple(v) if isinstance(v, list) else v) for k, v in body.items()}
 
 
-_TOPOLOGY_KEYS = ("micro_count", "core_count", "micro_slots", "core_slots",
-                  "micro_link_mu_pps", "core_link_mu_pps", "rho_max", "packet_kb")
-_WORKLOAD_KEYS = ("request_count", "arrival_rate_rps", "arrival_window_s",
-                  "sla_delay_range_ms", "sla_cost_range",
-                  "background_load_fraction", "rng_seed", "policy",
-                  "exec_time_range_ms", "data_out_range_kb", "capacity_range_rps",
-                  "service_memory_range_gb", "service_cores_choices",
-                  "provision_latency_ms")
-_FWS_KEYS = ("alpha_dep", "beta_wait", "dependents", "resume_latency_ms")
-_SWEEP_KEYS = ("demand_points", "load_points", "policies", "repetitions",
-               "demand_window_s", "load_demand_count")
-_CATALOG_KEYS = ("name", "memory_gb", "cores", "max_bandwidth_mbps", "hourly_cost")
+def _field_names(cls, exclude=()):
+    return tuple(f.name for f in fields(cls) if f.name not in exclude)
+
+
+_TOPOLOGY_KEYS = _field_names(TopologySpec)
+# the other Scenario fields come from the topology, catalog, chains and fws
+# sections
+_WORKLOAD_KEYS = _field_names(Scenario, exclude=(
+    "resume_latency_ms", "weights", "topology_spec", "catalog", "chains"))
+_FWS_KEYS = _field_names(WeightParams) + ("resume_latency_ms",)
+_SWEEP_KEYS = _field_names(SweepSpec)
+_CATALOG_KEYS = _field_names(VmType)
 _CHAIN_KEYS = ("chain_id", "nodes", "edges")
 
 
@@ -123,104 +119,66 @@ def _load_raw(path):
 
 def parse_scenario(path) -> Scenario:
     """Build a fully defaulted Scenario from a file; rejects unknown keys."""
-    raw = _load_raw(path)
-    scenario = scenario_from_dict(raw)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            scenario = scenario.with_overrides(rng_seed=int(env_seed))
-        except ValueError as exc:
-            raise ValidationError(SEED_ENV_VAR, "must be an integer") from exc
-    return scenario.validate()
+    return scenario_from_dict(_load_raw(path))
 
 
 def scenario_from_dict(raw) -> Scenario:
-    topo = _section(raw, "topology", _TOPOLOGY_KEYS)
-    try:
-        topology_spec = TopologySpec(**topo)
-    except TypeError as exc:
-        raise ValidationError("topology", str(exc)) from exc
+    kw = {"topology_spec": TopologySpec(
+        **_section(raw.get("topology", {}), "topology", _TOPOLOGY_KEYS))}
 
     catalog_raw = raw.get("catalog")
-    if catalog_raw is None:
-        catalog_kw = {}
-    else:
+    if catalog_raw is not None:
         if not isinstance(catalog_raw, list) or not catalog_raw:
             raise ValidationError("catalog", "must be a nonempty list")
-        catalog = []
+        kw["catalog"] = []
         for idx, entry in enumerate(catalog_raw):
-            _require(isinstance(entry, dict), f"catalog[{idx}]", "must be an object")
-            for key in entry:
-                if key not in _CATALOG_KEYS:
-                    raise ValidationError(f"catalog[{idx}].{key}", "unknown key")
+            path = f"catalog[{idx}]"
+            entry = _section(entry, path, _CATALOG_KEYS)
             try:
-                catalog.append(VmType(**entry))
-            except TypeError as exc:
-                raise ValidationError(f"catalog[{idx}]", str(exc)) from exc
-        catalog_kw = {"catalog": catalog}
+                kw["catalog"].append(VmType(**entry))
+            except TypeError as exc:  # a missing key: VmType has no defaults
+                raise ValidationError(path, str(exc)) from exc
 
     chains_raw = raw.get("chains")
-    if chains_raw is None:
-        chains_kw = {}
-    else:
+    if chains_raw is not None:
         if not isinstance(chains_raw, list) or not chains_raw:
             raise ValidationError("chains", "must be a nonempty list")
-        chains = []
+        kw["chains"] = []
         for idx, entry in enumerate(chains_raw):
             path = f"chains[{idx}]"
-            _require(isinstance(entry, dict), path, "must be an object")
-            for key in entry:
-                if key not in _CHAIN_KEYS:
-                    raise ValidationError(f"{path}.{key}", "unknown key")
+            entry = _section(entry, path, _CHAIN_KEYS)
             for key in ("chain_id", "nodes"):
                 _require(key in entry, path, f"missing {key!r}")
-            nodes, edges = entry["nodes"], entry.get("edges", [])
+            nodes, edges = entry["nodes"], entry.get("edges", ())
             _require(_is_int(entry["chain_id"]), f"{path}.chain_id",
                      "must be an integer")
-            _require(isinstance(nodes, list) and nodes
-                     and all(_is_int(n) for n in nodes),
+            _require(_is_list(nodes) and nodes and all(_is_int(n) for n in nodes),
                      f"{path}.nodes", "must list integer service ids")
-            _require(isinstance(edges, list)
-                     and all(isinstance(e, list) and len(e) == 2
+            _require(_is_list(edges)
+                     and all(_is_list(e) and len(e) == 2
                              and all(_is_int(n) for n in e) for e in edges),
                      f"{path}.edges", "must list [from, to] service id pairs")
             try:
-                chains.append(ServiceChain(entry["chain_id"], set(nodes),
-                                           {tuple(e) for e in edges}))
+                kw["chains"].append(ServiceChain(entry["chain_id"], set(nodes),
+                                                 {tuple(e) for e in edges}))
             except (CycleDetected, DanglingEdge) as exc:
                 raise ValidationError(f"{path}.edges", str(exc)) from exc
-        chains_kw = {"chains": chains}
 
-    workload = _section(raw, "workload", _WORKLOAD_KEYS)
-    workload = {k: (tuple(v) if isinstance(v, list) else v)
-                for k, v in workload.items()}
-    fws_raw = _section(raw, "fws", _FWS_KEYS)
-    fws_kw = dict(fws_raw)
-    resume = fws_kw.pop("resume_latency_ms", None)
-    weights_kw = {"weights": WeightParams(**fws_kw)} if fws_kw else {}
-    resume_kw = {"resume_latency_ms": resume} if resume is not None else {}
-
-    try:
-        scenario = Scenario(topology_spec=topology_spec, **catalog_kw, **chains_kw,
-                            **workload, **weights_kw, **resume_kw)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("workload", str(exc)) from exc
-    return scenario.validate()
+    kw.update(_section(raw.get("workload", {}), "workload", _WORKLOAD_KEYS))
+    weights = _section(raw.get("fws", {}), "fws", _FWS_KEYS)
+    if "resume_latency_ms" in weights:
+        kw["resume_latency_ms"] = weights.pop("resume_latency_ms")
+    if weights:
+        kw["weights"] = WeightParams(**weights)
+    return Scenario(**kw).validate()
 
 
 def parse_sweep(path) -> SweepSpec:
-    raw = _load_raw(path)
-    return sweep_from_dict(raw)
+    return sweep_from_dict(_load_raw(path))
 
 
 def sweep_from_dict(raw) -> SweepSpec:
-    body = _section(raw, "sweep", _SWEEP_KEYS)
-    body = {k: (tuple(v) if isinstance(v, list) else v) for k, v in body.items()}
-    try:
-        spec = SweepSpec(**body)
-    except TypeError as exc:
-        raise ValidationError("sweep", str(exc)) from exc
-    return spec.validate()
+    return SweepSpec(**_section(raw.get("sweep", {}), "sweep", _SWEEP_KEYS)).validate()
 
 
 def run_sweep(scenario: Scenario, sweep: SweepSpec, var="demand") -> list:

@@ -7,16 +7,18 @@ are identical.
 """
 
 import random
+import sys
 from dataclasses import dataclass, field, replace
 
 from .chains import MicroServiceDef, UserRequest, canonical_sfcs
 from .errors import ValidationError
 from .fws import WeightParams
+from .greedy import GREEDY_POLICIES
 from .infrastructure import (CORE_LINK_MU_PPS, CORE_VM_SLOTS, DEFAULT_PACKET_KB,
                              DEFAULT_RHO_MAX, MICRO_LINK_MU_PPS, MICRO_VM_SLOTS,
                              default_catalog, default_topology)
 
-POLICY_NAMES = ("fws", "lfff", "mfff", "lfdt", "mfdt")
+POLICY_NAMES = ("fws", *GREEDY_POLICIES)
 
 
 @dataclass
@@ -52,6 +54,11 @@ class TopologySpec:
                      "must be a positive number")
         _require(_is_number(self.rho_max) and 0 < self.rho_max < 1,
                  "topology.rho_max", "must lie in (0, 1)")
+        for name in ("micro_link_mu_pps", "core_link_mu_pps"):
+            # below the smallest normal float, rho_max * mu can round up to mu
+            # and the delay clamp no longer holds a link below saturation
+            _require(getattr(self, name) >= sys.float_info.min, f"topology.{name}",
+                     f"must be at least {sys.float_info.min}")
 
 
 @dataclass
@@ -70,7 +77,6 @@ class Scenario:
     # per-service generation ranges
     exec_time_range_ms: tuple = (10.0, 100.0)
     data_out_range_kb: tuple = (5.0, 20.0)
-    capacity_range_rps: tuple = (20.0, 100.0)
     service_memory_range_gb: tuple = (0.5, 3.5)
     # per-service core demand is drawn uniformly from these choices
     service_cores_choices: tuple = (1, 1, 1, 2)
@@ -103,7 +109,6 @@ class Scenario:
         _check_range(self.sla_cost_range, "workload.sla_cost_range")
         _check_range(self.exec_time_range_ms, "workload.exec_time_range_ms")
         _check_range(self.data_out_range_kb, "workload.data_out_range_kb")
-        _check_range(self.capacity_range_rps, "workload.capacity_range_rps")
         _check_range(self.service_memory_range_gb, "workload.service_memory_range_gb")
         cores = self.service_cores_choices
         _require(_is_list(cores) and len(cores) > 0
@@ -136,7 +141,10 @@ def _require(cond, path, message):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float that converts to a float: the simulation
+    computes in floats, so infinity and larger integers cannot enter it."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_int(value):
@@ -173,11 +181,14 @@ def sample_service_defs(scenario: Scenario) -> dict:
     defs = {}
     all_ids = sorted(set().union(*[c.nodes for c in scenario.chains]))
     for sid in all_ids:
+        exec_time_ms = rng.uniform(*scenario.exec_time_range_ms)
+        data_out_kb = rng.uniform(*scenario.data_out_range_kb)
+        # Discarded: a per-service capacity was once drawn here, and
+        # random.uniform consumes exactly one random(), so this keeps every
+        # later draw, and with it every seeded schedule, as it was.
+        rng.random()
         defs[sid] = MicroServiceDef(
-            id=sid,
-            exec_time_ms=rng.uniform(*scenario.exec_time_range_ms),
-            data_out_kb=rng.uniform(*scenario.data_out_range_kb),
-            capacity_rps=rng.uniform(*scenario.capacity_range_rps),
+            id=sid, exec_time_ms=exec_time_ms, data_out_kb=data_out_kb,
             memory_gb=rng.uniform(*scenario.service_memory_range_gb),
             cores=rng.choice(scenario.service_cores_choices),
         )

@@ -251,7 +251,7 @@ def _fixture_run(policy):
     chains = _fixture_chains()
     sc = Scenario(policy=policy, chains=chains, request_count=3,
                   provision_latency_ms=0.0)
-    defs = {sid: MicroServiceDef(sid, FIXTURE_EXEC[sid], 10.0, 50.0, 1.0, 1)
+    defs = {sid: MicroServiceDef(sid, FIXTURE_EXEC[sid], 10.0, 1.0, 1)
             for sid in FIXTURE_EXEC}
     reqs = [UserRequest(0, 1, 0.0, 10_000.0, 10.0),
             UserRequest(1, 2, 0.0, 10_000.0, 10.0),

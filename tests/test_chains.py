@@ -168,5 +168,4 @@ def test_request_and_def_validation():
     with pytest.raises(ValueError):
         UserRequest(0, 1, 0.0, delay_sla_ms=-1.0, cost_sla=1.0)
     with pytest.raises(ValueError):
-        MicroServiceDef(1, exec_time_ms=0.0, data_out_kb=5, capacity_rps=20,
-                        memory_gb=1.0, cores=1)
+        MicroServiceDef(1, exec_time_ms=0.0, data_out_kb=5, memory_gb=1.0, cores=1)

@@ -17,7 +17,7 @@ def single_service_scenario(policy="fws"):
 
 def test_single_service_turnaround_is_exec_plus_constants():
     sc = single_service_scenario()
-    defs = {7: MicroServiceDef(7, 40.0, 10.0, 50.0, 1.0, 1)}
+    defs = {7: MicroServiceDef(7, 40.0, 10.0, 1.0, 1)}
     reqs = [UserRequest(0, 1, 0.0, 1000.0, 10.0)]
     sim = SimulationRun(sc, requests=reqs, service_defs=defs)
     report = sim.execute()
@@ -30,7 +30,7 @@ def test_single_service_turnaround_is_exec_plus_constants():
 
 def test_resume_latency_delays_start_exactly():
     sc = single_service_scenario().with_overrides(resume_latency_ms=5.0)
-    defs = {7: MicroServiceDef(7, 40.0, 10.0, 50.0, 1.0, 1)}
+    defs = {7: MicroServiceDef(7, 40.0, 10.0, 1.0, 1)}
     reqs = [UserRequest(0, 1, 0.0, 1000.0, 10.0)]
     sim = SimulationRun(sc, requests=reqs, service_defs=defs)
     sim.execute()
@@ -43,7 +43,7 @@ def test_whole_chain_on_one_big_machine_has_zero_traffic():
     chain = ServiceChain(1, {1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (3, 5)})
     sc = Scenario(policy="fws", chains=[chain], request_count=1,
                   catalog=[VmType("xlarge", 32.0, 8, 25.0, 0.5)])
-    defs = {i: MicroServiceDef(i, 20.0 + i, 10.0, 50.0, 1.0, 1) for i in chain.nodes}
+    defs = {i: MicroServiceDef(i, 20.0 + i, 10.0, 1.0, 1) for i in chain.nodes}
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0)]
     sim = SimulationRun(sc, requests=reqs, service_defs=defs)
     report = sim.execute()
@@ -56,7 +56,7 @@ def test_affinity_fires_when_predecessor_machine_has_room():
     # linear chain on 1-core machines: every hop reuses the freed machine
     chain = ServiceChain(1, {1, 2, 3}, {(1, 2), (2, 3)})
     sc = Scenario(policy="fws", chains=[chain], request_count=1)
-    defs = {i: MicroServiceDef(i, 30.0, 10.0, 50.0, 1.0, 1) for i in chain.nodes}
+    defs = {i: MicroServiceDef(i, 30.0, 10.0, 1.0, 1) for i in chain.nodes}
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0)]
     sim = SimulationRun(sc, requests=reqs, service_defs=defs)
     report = sim.execute()
@@ -69,8 +69,8 @@ def test_precedence_timing_with_transfer():
     chain = ServiceChain(1, {1, 2}, {(1, 2)})
     sc = Scenario(policy="lfff", chains=[chain], request_count=2,
                   topology_spec=TopologySpec(micro_count=4, core_count=1))
-    defs = {1: MicroServiceDef(1, 50.0, 12.0, 50.0, 1.8, 1),
-            2: MicroServiceDef(2, 50.0, 12.0, 50.0, 1.8, 1)}
+    defs = {1: MicroServiceDef(1, 50.0, 12.0, 1.8, 1),
+            2: MicroServiceDef(2, 50.0, 12.0, 1.8, 1)}
     # second request keeps machine 0 busy when service 2 of request 0 dispatches
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0),
             UserRequest(1, 1, 30.0, 5000.0, 10.0)]
@@ -113,7 +113,7 @@ def test_no_capacity_drops_request_instead_of_crashing():
     topo = TopologySpec(micro_count=1, core_count=1, micro_slots=1, core_slots=1)
     sc = Scenario(policy="fws", chains=[chain], request_count=3,
                   topology_spec=topo)
-    defs = {1: MicroServiceDef(1, 1000.0, 10.0, 50.0, 1.8, 1)}
+    defs = {1: MicroServiceDef(1, 1000.0, 10.0, 1.8, 1)}
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0),
             UserRequest(1, 1, 1.0, 5000.0, 10.0),
             UserRequest(2, 1, 2.0, 50.0, 10.0)]  # tight delay SLA
@@ -129,11 +129,20 @@ def test_no_capacity_drops_request_instead_of_crashing():
 def test_oversized_demand_drops_not_crashes():
     chain = ServiceChain(1, {1}, set())
     sc = Scenario(policy="lfff", chains=[chain], request_count=1)
-    defs = {1: MicroServiceDef(1, 50.0, 10.0, 50.0, 64.0, 32)}
+    defs = {1: MicroServiceDef(1, 50.0, 10.0, 64.0, 32)}
     reqs = [UserRequest(0, 1, 0.0, 100.0, 10.0)]
     sim = SimulationRun(sc, requests=reqs, service_defs=defs)
     report = sim.execute()
     assert sim.dropped == 1 and report.satisfied_pct == 0.0
+
+
+def test_clock_too_large_to_resolve_hold_spans_still_reports():
+    # arrivals about 1e70 s apart: each finish time rounds to its dispatch time
+    sim = SimulationRun(Scenario(arrival_rate_rps=1e-70, request_count=5))
+    report = sim.execute()
+    assert all(p.finish_ms == p.dispatch_ms for p in sim.placements)
+    assert report.total_cost_per_hour > 0
+    validate_run(sim)
 
 
 def test_link_loads_return_to_background_after_quiescence():
@@ -166,7 +175,7 @@ def test_policies_agree_when_there_is_no_choice():
     # one machine, one chain: every policy co-locates, traffic vanishes
     chain = ServiceChain(1, {1, 2, 3, 4}, {(1, 2), (2, 3), (2, 4)})
     topo = TopologySpec(micro_count=1, core_count=1, micro_slots=1, core_slots=1)
-    defs = {i: MicroServiceDef(i, 25.0, 10.0, 50.0, 1.0, 1) for i in chain.nodes}
+    defs = {i: MicroServiceDef(i, 25.0, 10.0, 1.0, 1) for i in chain.nodes}
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0)]
     for policy in ("fws", "lfff", "mfff", "lfdt", "mfdt"):
         sc = Scenario(policy=policy, chains=[chain], request_count=1,
@@ -196,9 +205,9 @@ def test_dispatch_skips_a_demand_that_already_failed(monkeypatch):
     # services 1 and 2 exceed every catalog type and outrank service 3
     chain = ServiceChain(1, {1, 2, 3}, set())
     sc = Scenario(policy="fws", chains=[chain], request_count=1)
-    defs = {1: MicroServiceDef(1, 90.0, 10.0, 50.0, 64.0, 1),
-            2: MicroServiceDef(2, 80.0, 10.0, 50.0, 64.0, 1),
-            3: MicroServiceDef(3, 20.0, 10.0, 50.0, 1.0, 1)}
+    defs = {1: MicroServiceDef(1, 90.0, 10.0, 64.0, 1),
+            2: MicroServiceDef(2, 80.0, 10.0, 64.0, 1),
+            3: MicroServiceDef(3, 20.0, 10.0, 1.0, 1)}
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0)]
     sim = SimulationRun(sc, requests=reqs, service_defs=defs)
     seen = count_selections(monkeypatch)
@@ -211,7 +220,7 @@ def test_dispatch_skips_a_demand_that_already_failed(monkeypatch):
 def test_expired_entry_drops_even_when_its_demand_is_memoised(monkeypatch):
     chain = ServiceChain(1, {1}, set())
     sc = Scenario(policy="lfff", chains=[chain], request_count=3)
-    defs = {1: MicroServiceDef(1, 50.0, 10.0, 50.0, 64.0, 1)}
+    defs = {1: MicroServiceDef(1, 50.0, 10.0, 64.0, 1)}
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0),
             UserRequest(1, 1, 1.0, 5.0, 10.0),     # expires before t = 10
             UserRequest(2, 1, 10.0, 5000.0, 10.0)]
@@ -229,7 +238,7 @@ def test_expired_entry_drops_even_when_its_demand_is_memoised(monkeypatch):
 def test_placing_a_service_twice_is_rejected():
     chain = ServiceChain(1, {1}, set())
     sc = Scenario(policy="lfff", chains=[chain], request_count=1)
-    defs = {1: MicroServiceDef(1, 50.0, 10.0, 50.0, 1.0, 1)}
+    defs = {1: MicroServiceDef(1, 50.0, 10.0, 1.0, 1)}
     reqs = [UserRequest(0, 1, 0.0, 5000.0, 10.0)]
     sim = SimulationRun(sc, requests=reqs, service_defs=defs)
     sim._on_arrival(reqs[0])  # places service 1

@@ -13,7 +13,7 @@ def place(iid, sid, mid):
 
 
 def mkdefs(data):
-    return {sid: MicroServiceDef(sid, 50.0, kb, 50.0, 1.0, 1)
+    return {sid: MicroServiceDef(sid, 50.0, kb, 1.0, 1)
             for sid, kb in data.items()}
 
 

@@ -9,11 +9,10 @@ from sfcsched.engine import run
 from sfcsched.errors import ParseError, ValidationError
 from sfcsched.metrics import METRIC_NAMES
 from sfcsched.reporting import (_CATALOG_KEYS, _CHAIN_KEYS, _FWS_KEYS, _SWEEP_KEYS,
-                                _TOPOLOGY_KEYS, _WORKLOAD_KEYS, SEED_ENV_VAR,
-                                SweepSpec, emit_results,
-                                load_results, parse_scenario, parse_sweep,
-                                render_results, run_sweep, scenario_from_dict,
-                                sweep_from_dict)
+                                _TOPOLOGY_KEYS, _WORKLOAD_KEYS, SweepSpec,
+                                emit_results, load_results, parse_scenario,
+                                parse_sweep, render_results, report_rows,
+                                run_sweep, scenario_from_dict, sweep_from_dict)
 from sfcsched.scenario import Scenario
 
 
@@ -76,14 +75,19 @@ def test_chain_override_round_trip(tmp_path):
     assert sc.chains[0].edges == {(1, 2), (2, 3)}
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
-    path = write_scenario(tmp_path, {"workload": {"rng_seed": 10}})
-    assert parse_scenario(path).rng_seed == 10
-    monkeypatch.setenv(SEED_ENV_VAR, "99")
-    assert parse_scenario(path).rng_seed == 99
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    with pytest.raises(ValidationError):
-        parse_scenario(path)
+def test_file_seed_and_cli_seed_override(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"workload": {"rng_seed": 10,
+                                                  "request_count": 20}})
+    scenario = parse_scenario(path)
+    assert scenario.rng_seed == 10
+
+    def rows_text(sc):
+        return render_results(report_rows(run(sc), "demand", sc.request_count))
+
+    assert cli_main(["run", "--scenario", path, "--seed", "99"]) == 0
+    out = capsys.readouterr().out
+    assert out == rows_text(scenario.with_overrides(rng_seed=99))
+    assert out != rows_text(scenario)
 
 
 def tiny_sweep(policies=("fws",), points=(2,), reps=1):
@@ -205,6 +209,8 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
         ({"packet_kb": 0}, "topology.packet_kb"),
         ({"rho_max": 1.5}, "topology.rho_max"),
         ({"rho_max": 0}, "topology.rho_max"),
+        ({"micro_link_mu_pps": 5e-324}, "topology.micro_link_mu_pps"),
+        ({"core_link_mu_pps": float("inf")}, "topology.core_link_mu_pps"),
     ]
     cases = [({"topology": topology}, field, ("validate", "run"))
              for topology, field in bad_topologies]
@@ -216,7 +222,12 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"arrival_rate_rps": None}, "workload.arrival_rate_rps"),
                   ({"sla_delay_range_ms": 7}, "workload.sla_delay_range_ms"),
                   ({"service_cores_choices": 2}, "workload.service_cores_choices"),
-                  ({"rng_seed": "x"}, "workload.rng_seed")]]
+                  ({"rng_seed": "x"}, "workload.rng_seed"),
+                  ({"arrival_rate_rps": 10**400}, "workload.arrival_rate_rps"),
+                  ({"exec_time_range_ms": [1, float("inf")]},
+                   "workload.exec_time_range_ms"),
+                  ({"capacity_range_rps": [20, 100]},
+                   "workload.capacity_range_rps")]]
     cases += [({"chains": [chain]}, field, ("validate", "run"))
               for chain, field in [
                   ({"chain_id": 1, "nodes": 5}, "chains[0].nodes"),
@@ -234,7 +245,9 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"alpha_dep": True, "beta_wait": False}, "fws.alpha_dep"),
                   ({"alpha_dep": "x"}, "fws.alpha_dep"),
                   ({"beta_wait": -1}, "fws.beta_wait"),
-                  ({"dependents": 3}, "fws.dependents")]]
+                  ({"beta_wait": 10**400}, "fws.beta_wait"),
+                  ({"dependents": 3}, "fws.dependents"),
+                  ({"resume_latency_ms": None}, "fws.resume_latency_ms")]]
     cases += [({"sweep": sweep}, field, ("validate", "sweep"))
               for sweep, field in [
                   ({"repetitions": "a"}, "sweep.repetitions"),
@@ -307,3 +320,28 @@ def test_cli_validate_fuzz_exits_0_or_2(tmp_path_factory, raw):
     path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
     path.write_text(json.dumps(raw))
     assert cli_main(["validate", "--scenario", str(path)]) in (0, 2)
+
+
+# Few SCENARIO_DICTS examples pass validation, and `run` only reaches the
+# engine with those that do.  These sections are objects holding values the
+# checks often accept: positive numbers of every magnitude, infinity too,
+# ordered pairs of them and names.  Integers stay at most 30, so counts keep
+# every run short.
+positive = (st.integers(1, 30) | st.floats(0.01, 0.99)
+            | st.floats(0.0, exclude_min=True))
+run_values = (positive | st.lists(positive, min_size=2, max_size=2).map(sorted)
+              | st.sampled_from(("fws", "mfdt", "immediate")))
+RUN_DICTS = st.fixed_dictionaries({}, optional={
+    name: st.dictionaries(st.sampled_from(keys), run_values, max_size=3)
+    for name, keys in (("topology", _TOPOLOGY_KEYS), ("workload", _WORKLOAD_KEYS),
+                       ("fws", _FWS_KEYS))})
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(raw=RUN_DICTS)
+def test_cli_run_fuzz_exits_0_or_2(tmp_path_factory, raw):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["run", "--scenario", str(path),
+                     "--out", str(tmp / "out.csv")]) in (0, 2)
