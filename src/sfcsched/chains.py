@@ -30,7 +30,8 @@ class MicroServiceDef:
 
 class ServiceChain:
     """Immutable precedence DAG of service ids; construction rejects an empty
-    node set, dangling edges and cycles."""
+    node set, dangling edges and cycles.  Each predecessor and successor list
+    is in ascending id order, whatever the order the edges are given in."""
 
     def __init__(self, chain_id, nodes, edges):
         self.chain_id = chain_id

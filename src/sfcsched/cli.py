@@ -9,9 +9,9 @@ import sys
 
 from .engine import run
 from .errors import ParseError, SfcSchedError, ValidationError
-from .reporting import (SweepSpec, emit_results, parse_scenario, parse_sweep,
-                        render_results, report_rows, run_sweep)
-from .scenario import POLICY_NAMES, Scenario
+from .reporting import (emit_results, read_scenario_file, render_results,
+                        report_rows, run_sweep, scenario_from_dict, sweep_from_dict)
+from .scenario import POLICY_NAMES
 
 
 def _add_common(parser):
@@ -39,15 +39,6 @@ def build_parser():
     return parser
 
 
-def _load(args):
-    scenario = parse_scenario(args.scenario) if args.scenario else Scenario()
-    if args.seed is not None:
-        scenario = scenario.with_overrides(rng_seed=args.seed)
-    if args.policy is not None:
-        scenario = scenario.with_overrides(policy=args.policy)
-    return scenario.validate()
-
-
 def _deliver(rows, args):
     if args.out:
         emit_results(rows, args.out, args.format)
@@ -58,18 +49,23 @@ def _deliver(rows, args):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # read once: the file may be a pipe
+        raw = read_scenario_file(args.scenario) if args.scenario else {}
+        scenario = scenario_from_dict(raw)
         if args.command == "validate":
-            parse_scenario(args.scenario)
-            parse_sweep(args.scenario)
+            sweep_from_dict(raw)
             print(f"{args.scenario}: ok")
             return 0
-        scenario = _load(args)
+        if args.seed is not None:
+            scenario = scenario.with_overrides(rng_seed=args.seed)
+        if args.policy is not None:
+            scenario = scenario.with_overrides(policy=args.policy)
         if args.command == "run":
             report = run(scenario)
             rows = report_rows(report, "demand", scenario.request_count)
             _deliver(rows, args)
             return 0
-        sweep = parse_sweep(args.scenario) if args.scenario else SweepSpec()
+        sweep = sweep_from_dict(raw)
         if args.policy is not None:
             sweep.policies = (args.policy,)
         rows = run_sweep(scenario, sweep, var=args.var)

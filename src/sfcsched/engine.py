@@ -22,7 +22,6 @@ import heapq
 from dataclasses import dataclass, field
 
 from .chains import ready_services
-from .errors import NoFeasibleType
 from .fws import LabeledService, assign_labels, priority_key, select_machine_fws
 from .greedy import GREEDY_POLICIES, greedy_select_machine, priority_key_for
 from .infrastructure import provision_machine
@@ -58,6 +57,7 @@ class _RequestState:
     remaining: int             # services not yet finished
     dropped: bool = False
     completed_ms: float = None
+    placed: dict = field(default_factory=dict)  # service_id -> Machine
 
 
 class SimulationRun:
@@ -87,7 +87,6 @@ class SimulationRun:
         self._events = []
         self.machines = []
         self.placements = []
-        self._placed = {}          # (instance_id, service_id) -> Placement
         self.ready = []            # LabeledService entries, in _priority_key order
         self.states = {}           # request_id -> _RequestState
         self.arrived = 0
@@ -223,29 +222,22 @@ class SimulationRun:
 
     def _select_machine(self, entry):
         sdef = self.defs[entry.service_id]
-        try:
-            if self._greedy is not None:
-                return greedy_select_machine(
-                    sdef.memory_gb, sdef.cores, self.machines,
-                    self._greedy.machine_bias, self.topology,
-                    self.scenario.catalog, self.now)
-            preds = self._pred_placements(entry)
-            return select_machine_fws(
-                sdef.memory_gb, sdef.cores, preds, self.machines,
-                self.topology, self.scenario.catalog, self.now)
-        except NoFeasibleType:
-            # demand exceeds the whole catalog: the request waits and drops,
-            # it never crashes the run
-            return None
+        if self._greedy is not None:
+            return greedy_select_machine(
+                sdef.memory_gb, sdef.cores, self.machines,
+                self._greedy.machine_bias, self.topology,
+                self.scenario.catalog, self.now)
+        return select_machine_fws(
+            sdef.memory_gb, sdef.cores, self._pred_placements(entry),
+            self.machines, self.topology, self.scenario.catalog, self.now)
 
     def _pred_placements(self, entry):
-        chain = self.chains[self.states[entry.instance_id].request.chain_id]
-        out = []
-        for pred in sorted(chain.predecessors(entry.service_id)):
-            placement = self._placed[(entry.instance_id, pred)]
-            machine = self.machines[placement.machine_id]
-            out.append((pred, machine, self.defs[pred].data_out_kb))
-        return out
+        """(pred, machine, data_out_kb) per predecessor, in ascending id
+        order: traffic and link-load sums accumulate in this order."""
+        state = self.states[entry.instance_id]
+        chain = self.chains[state.request.chain_id]
+        return [(pred, state.placed[pred], self.defs[pred].data_out_kb)
+                for pred in chain.predecessors(entry.service_id)]
 
     def _provision(self, node_id, vm_type, active_at_ms):
         node = self.topology.nodes[node_id]
@@ -256,7 +248,8 @@ class SimulationRun:
 
     def _place(self, entry, choice):
         key = (entry.instance_id, entry.service_id)
-        if key in self._placed:
+        state = self.states[entry.instance_id]
+        if entry.service_id in state.placed:
             raise AssertionError(f"{key} placed twice")
         t = self.now
         sdef = self.defs[entry.service_id]
@@ -299,7 +292,7 @@ class SimulationRun:
             dispatch_ms=t, boot_wait_ms=boot_ms, transfer_ms=transfer_ms,
             transfers_in=transfers_in)
         self.placements.append(placement)
-        self._placed[key] = placement
+        state.placed[entry.service_id] = machine
         self._push(start, EVENT_START, None)
         self._push(finish, EVENT_FINISH,
                    (entry.instance_id, entry.service_id, machine))
@@ -320,9 +313,8 @@ class SimulationRun:
         for p in self.placements:
             span = p.finish_ms - p.dispatch_ms
             held_by_machine[p.machine_id] = held_by_machine.get(p.machine_id, 0.0) + span
-            held_by_request.setdefault(p.instance_id, {})
-            held_by_request[p.instance_id][p.machine_id] = \
-                held_by_request[p.instance_id].get(p.machine_id, 0.0) + span
+            spans = held_by_request.setdefault(p.instance_id, {})
+            spans[p.machine_id] = spans.get(p.machine_id, 0.0) + span
         costs = {}
         for rid, spans in held_by_request.items():
             total = 0.0
@@ -369,6 +361,4 @@ class SimulationRun:
 
 def run(scenario: Scenario) -> MetricsReport:
     """Simulate one scenario to quiescence and aggregate its metrics."""
-    sim = SimulationRun(scenario)
-    report = sim.execute()
-    return report
+    return SimulationRun(scenario).execute()

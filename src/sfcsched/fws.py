@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .infrastructure import nearest_vm_type
+from .infrastructure import provision_choice
 
 TRANSITIVE = "transitive"
 IMMEDIATE = "immediate"
@@ -112,44 +112,33 @@ def select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
                        machines, topology, catalog, now_ms):
     """Affinity-first machine choice.
 
-    (a) a predecessor's machine with room, (b) the feasible machine adding
-    the least hop-weighted traffic, (c) a freshly provisioned machine on the
-    free-slot node closest to the predecessors.  Within (a) and (b) ties go
-    to the lowest traffic, then the lowest machine id.  Returns
+    (a) a predecessor's machine with room; only when none has room, (b) any
+    machine with room; both keep the one adding the least hop-weighted
+    traffic, ties to the lowest machine id.  (c) `provision_choice` on the
+    free-slot node closest to the predecessors.  Every predecessor machine
+    must be in `machines`, as the engine's always are.  Returns
     ("existing", machine) or ("provision", node_id, vm_type), or None when
-    every node is full.
+    every node is full or no catalog type covers the demand.
     """
-    pred_machine_ids = {pm.machine_id for _, pm, _ in pred_placements}
     objective = {}  # node_id -> _traffic_objective, filled on first use
-    best = best_cost = None
-    best_affine = False
-    for m in machines:
-        vm = m.vm_type
-        # Machine.fits, inlined for this hot loop
-        if not (m.active_at_ms <= now_ms
-                and m.used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
-                and m.used_cores + demand_cores <= vm.cores):
-            continue
-        affine = m.machine_id in pred_machine_ids
-        if best_affine and not affine:
-            continue
-        cost = objective.get(m.node_id)
-        if cost is None:
-            cost = objective[m.node_id] = _traffic_objective(
-                m.node_id, pred_placements, topology)
-        if affine and not best_affine:
-            best, best_affine = None, True
-        if (best is None or cost < best_cost
-                or (cost == best_cost and m.machine_id < best.machine_id)):
-            best, best_cost = m, cost
-    if best is not None:
-        return ("existing", best)
-    open_nodes = [n for n in topology.nodes.values() if n.has_free_slot()]
-    if not open_nodes:
-        return None
-    pred_nodes = [pm.node_id for _, pm, _ in pred_placements]
-    best_node = min(open_nodes,
-                    key=lambda n: (sum(topology.path_delay_s(p, n.node_id)
-                                       for p in pred_nodes), n.node_id))
-    vm_type = nearest_vm_type(demand_memory_gb, demand_cores, catalog)
-    return ("provision", best_node.node_id, vm_type)
+    for candidates in ([pm for _, pm, _ in pred_placements], machines):
+        best = best_cost = None
+        for m in candidates:
+            vm = m.vm_type
+            # Machine.fits, inlined for this hot loop
+            if not (m.active_at_ms <= now_ms
+                    and m.used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
+                    and m.used_cores + demand_cores <= vm.cores):
+                continue
+            cost = objective.get(m.node_id)
+            if cost is None:
+                cost = objective[m.node_id] = _traffic_objective(
+                    m.node_id, pred_placements, topology)
+            if (best is None or cost < best_cost
+                    or (cost == best_cost and m.machine_id < best.machine_id)):
+                best, best_cost = m, cost
+        if best is not None:
+            return ("existing", best)
+    return provision_choice(demand_memory_gb, demand_cores,
+                            [pm.node_id for _, pm, _ in pred_placements],
+                            topology, catalog)

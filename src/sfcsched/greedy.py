@@ -8,7 +8,7 @@ inter-machine traffic.
 
 from dataclasses import dataclass
 
-from .infrastructure import nearest_vm_type
+from .infrastructure import provision_choice
 
 LEAST_FULL = "least_full"
 MOST_FULL = "most_full"
@@ -46,15 +46,14 @@ def greedy_select_machine(demand_memory_gb, demand_cores, machines,
     """Utilization-biased machine choice with a provisioning fallback.
 
     Among active machines with room, least_full takes the lowest and
-    most_full the highest utilization, ties to the lowest machine id.
+    most_full the highest utilization, ties to the lowest machine id.  With
+    none, `provision_choice` with no predecessors: the lowest free node.
     Returns ("existing", machine) or ("provision", node_id, vm_type), or
-    None when no machine fits and every node is full.
+    None when no machine fits and every node is full or no catalog type
+    covers the demand.
     """
-    if machine_bias == LEAST_FULL:
-        sign = 1.0
-    elif machine_bias == MOST_FULL:
-        sign = -1.0
-    else:
+    sign = {LEAST_FULL: 1.0, MOST_FULL: -1.0}.get(machine_bias)
+    if sign is None:
         raise ValueError(f"unknown machine bias {machine_bias!r}")
     best = best_key = None
     for m in machines:
@@ -72,9 +71,4 @@ def greedy_select_machine(demand_memory_gb, demand_cores, machines,
                 best, best_key = m, key
     if best is not None:
         return ("existing", best)
-    open_nodes = [n for n in topology.nodes.values() if n.has_free_slot()]
-    if not open_nodes:
-        return None
-    node = min(open_nodes, key=lambda n: n.node_id)
-    vm_type = nearest_vm_type(demand_memory_gb, demand_cores, catalog)
-    return ("provision", node.node_id, vm_type)
+    return provision_choice(demand_memory_gb, demand_cores, (), topology, catalog)

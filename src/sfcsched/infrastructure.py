@@ -44,16 +44,20 @@ def default_catalog():
     ]
 
 
+def _covering_type(demand_memory_gb, demand_cores, catalog):
+    """Cheapest catalog type covering the demand, ties by cost then name."""
+    return min((t for t in catalog
+                if t.memory_gb >= demand_memory_gb and t.cores >= demand_cores),
+               key=lambda t: (t.hourly_cost, t.name), default=None)
+
+
 def nearest_vm_type(demand_memory_gb, demand_cores, catalog) -> VmType:
-    """Cheapest catalog type covering the demand; ties by cost then name."""
-    if not catalog:
-        raise NoFeasibleType("empty catalog")
-    feasible = [t for t in catalog
-                if t.memory_gb >= demand_memory_gb and t.cores >= demand_cores]
-    if not feasible:
+    """`_covering_type`, raising NoFeasibleType when no type covers the demand."""
+    vm_type = _covering_type(demand_memory_gb, demand_cores, catalog)
+    if vm_type is None:
         raise NoFeasibleType(
             f"no type fits {demand_memory_gb} GB / {demand_cores} cores")
-    return min(feasible, key=lambda t: (t.hourly_cost, t.name))
+    return vm_type
 
 
 def link_delay(lambda_pps, mu_pps) -> float:
@@ -184,12 +188,10 @@ class Topology:
         return routes
 
     def route(self, src, dst):
-        if src not in self.nodes or dst not in self.nodes:
-            raise NoPath(f"unknown node in ({src}, {dst})")
-        key = (src, dst)
-        if key not in self._routes:
+        route = self._routes.get((src, dst))  # None for unknown or disconnected nodes
+        if route is None:
             raise NoPath(f"no route between {src} and {dst}")
-        return self._routes[key]
+        return route
 
     def hops(self, src, dst):
         return len(self.route(src, dst))
@@ -228,6 +230,21 @@ def default_topology(micro_count=16, core_count=4,
         core = micro_count + min(i // per_core, core_count - 1)
         links.append(Link((i, core), micro_mu_pps))
     return Topology(nodes, links, rho_max=rho_max, packet_kb=packet_kb)
+
+
+def provision_choice(demand_memory_gb, demand_cores, near_nodes, topology, catalog):
+    """("provision", node_id, vm_type) for a demand no machine takes: the
+    cheapest covering type, on the free-slot node with the least summed path
+    delay from `near_nodes`, ties to the lowest node id.  None when every
+    node is full or no catalog type covers the demand."""
+    open_ids = [n for n, node in topology.nodes.items() if node.has_free_slot()]
+    if not open_ids:
+        return None
+    vm_type = _covering_type(demand_memory_gb, demand_cores, catalog)
+    if vm_type is None:
+        return None
+    return ("provision", min(open_ids, key=lambda n: (
+        sum(topology.path_delay_s(p, n) for p in near_nodes), n)), vm_type)
 
 
 def provision_machine(node: CloudNode, vm_type: VmType, machine_id,

@@ -15,8 +15,8 @@ from .errors import CycleDetected, DanglingEdge, IoError, ParseError, Validation
 from .fws import WeightParams
 from .infrastructure import VmType
 from .metrics import METRIC_NAMES
-from .scenario import (POLICY_NAMES, Scenario, TopologySpec, _is_int, _is_list,
-                       _is_number, _require)
+from .scenario import (MAX_REQUEST_COUNT, POLICY_NAMES, Scenario, TopologySpec,
+                       _is_int, _is_list, _is_number, _require)
 
 DEFAULT_DEMAND_POINTS = (100, 500, 1000, 2000, 3000, 4000, 5000)
 DEFAULT_LOAD_POINTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -25,6 +25,7 @@ DEFAULT_LOAD_POINTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_DEMAND_WINDOW_S = 30.0
 
 CSV_HEADER = "policy,sweep_var,sweep_value,metric,mean,reps"
+MAX_REPETITIONS = 10_000
 
 
 @dataclass
@@ -37,9 +38,9 @@ class SweepSpec:
     load_demand_count: int = 3000
 
     def validate(self):
-        _require(_is_list(self.demand_points)
-                 and all(_is_int(p) and p >= 0 for p in self.demand_points),
-                 "sweep.demand_points", "must list integers >= 0")
+        _require(_is_list(self.demand_points) and all(
+            _is_int(p) and 0 <= p <= MAX_REQUEST_COUNT for p in self.demand_points),
+            "sweep.demand_points", f"must list integers in [0, {MAX_REQUEST_COUNT}]")
         if not self.demand_points or \
                 any(b <= a for a, b in zip(self.demand_points, self.demand_points[1:])):
             raise ValidationError("sweep.demand_points", "must be strictly increasing")
@@ -56,12 +57,14 @@ class SweepSpec:
         unknown = [p for p in self.policies if p not in POLICY_NAMES]
         if unknown:
             raise ValidationError("sweep.policies", f"unknown policy {unknown[0]!r}")
-        _require(_is_int(self.repetitions) and self.repetitions >= 1,
-                 "sweep.repetitions", "must be an integer >= 1")
+        _require(_is_int(self.repetitions) and 1 <= self.repetitions <= MAX_REPETITIONS,
+                 "sweep.repetitions", f"must be an integer in [1, {MAX_REPETITIONS}]")
         _require(_is_number(self.demand_window_s) and self.demand_window_s > 0,
                  "sweep.demand_window_s", "must be a positive number")
-        _require(_is_int(self.load_demand_count) and self.load_demand_count >= 1,
-                 "sweep.load_demand_count", "must be an integer >= 1")
+        _require(_is_int(self.load_demand_count)
+                 and 1 <= self.load_demand_count <= MAX_REQUEST_COUNT,
+                 "sweep.load_demand_count",
+                 f"must be an integer in [1, {MAX_REQUEST_COUNT}]")
         return self
 
 
@@ -99,7 +102,8 @@ _CATALOG_KEYS = _field_names(VmType)
 _CHAIN_KEYS = ("chain_id", "nodes", "edges")
 
 
-def _load_raw(path):
+def read_scenario_file(path) -> dict:
+    """The file's top-level object, its section names checked."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -119,7 +123,7 @@ def _load_raw(path):
 
 def parse_scenario(path) -> Scenario:
     """Build a fully defaulted Scenario from a file; rejects unknown keys."""
-    return scenario_from_dict(_load_raw(path))
+    return scenario_from_dict(read_scenario_file(path))
 
 
 def scenario_from_dict(raw) -> Scenario:
@@ -174,7 +178,7 @@ def scenario_from_dict(raw) -> Scenario:
 
 
 def parse_sweep(path) -> SweepSpec:
-    return sweep_from_dict(_load_raw(path))
+    return sweep_from_dict(read_scenario_file(path))
 
 
 def sweep_from_dict(raw) -> SweepSpec:

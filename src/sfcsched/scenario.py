@@ -19,6 +19,10 @@ from .infrastructure import (CORE_LINK_MU_PPS, CORE_VM_SLOTS, DEFAULT_PACKET_KB,
                              default_catalog, default_topology)
 
 POLICY_NAMES = ("fws", *GREEDY_POLICIES)
+# Count bounds, so every valid file runs to an end: 2,000x the paper's top
+# demand point, and nodes whose all-pairs route table builds in about 1 s.
+MAX_REQUEST_COUNT = 10_000_000
+MAX_NODE_COUNT = 500
 
 
 @dataclass
@@ -46,6 +50,8 @@ class TopologySpec:
         _require(self.core_count >= 1, "topology.core_count", "must be >= 1")
         _require(self.micro_count >= self.core_count, "topology.micro_count",
                  "must be >= core_count")
+        _require(self.micro_count + self.core_count <= MAX_NODE_COUNT,
+                 "topology.micro_count", f"plus core_count must be <= {MAX_NODE_COUNT}")
         _require(self.micro_slots >= 1, "topology.micro_slots", "must be >= 1")
         _require(self.core_slots >= 1, "topology.core_slots", "must be >= 1")
         for name in ("micro_link_mu_pps", "core_link_mu_pps", "packet_kb"):
@@ -98,8 +104,10 @@ class Scenario:
         return replace(self, **kw)
 
     def validate(self):
-        _require(_is_int(self.request_count) and self.request_count >= 0,
-                 "workload.request_count", "must be an integer >= 0")
+        _require(_is_int(self.request_count)
+                 and 0 <= self.request_count <= MAX_REQUEST_COUNT,
+                 "workload.request_count",
+                 f"must be an integer in [0, {MAX_REQUEST_COUNT}]")
         _require(_is_number(self.arrival_rate_rps) and self.arrival_rate_rps > 0,
                  "workload.arrival_rate_rps", "must be a positive number")
         if self.arrival_window_s is not None:

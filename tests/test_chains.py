@@ -164,6 +164,24 @@ def test_dependents_antitone_along_edges():
                 assert di >= 1 + dj
 
 
+def test_neighbour_lists_ascend_whatever_the_edge_order():
+    # the engine sums traffic and link loads in predecessor order, so
+    # seeded schedules depend on this order
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        ids = rng.sample(range(1, 50), n)  # topological order is not id order
+        edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4]
+        rng.shuffle(edges)
+        chain = ServiceChain(0, ids, edges)
+        for node in ids:
+            preds = chain.predecessors(node)
+            succs = chain.successors(node)
+            assert preds == sorted(a for a, b in edges if b == node)
+            assert succs == sorted(b for a, b in edges if a == node)
+
+
 def test_request_and_def_validation():
     with pytest.raises(ValueError):
         UserRequest(0, 1, 0.0, delay_sla_ms=-1.0, cost_sla=1.0)

@@ -228,6 +228,18 @@ def test_greedy_provisions_on_lowest_free_node():
                                  default_catalog(), 0.0) is None
 
 
+def test_uncovered_demand_gets_no_machine():
+    # every node has free slots, but no catalog type has 64 GB or 32 cores
+    topo = two_node_topology()
+    m0 = Machine(0, 0, SMALL)
+    for demand in ((64.0, 1), (1.0, 32)):
+        assert select_machine_fws(*demand, [(3, m0, 10.0)], [m0], topo,
+                                  default_catalog(), 0.0) is None
+        for bias in ("least_full", "most_full"):
+            assert greedy_select_machine(*demand, [m0], bias, topo,
+                                         default_catalog(), 0.0) is None
+
+
 def test_policy_registry_has_exactly_four():
     assert sorted(GREEDY_POLICIES) == ["lfdt", "lfff", "mfdt", "mfff"]
 
@@ -285,8 +297,16 @@ def oracle_greedy_select_machine(demand_memory_gb, demand_cores, machines,
     if not open_nodes:
         return None
     node = min(open_nodes, key=lambda n: n.node_id)
-    return ("provision", node.node_id,
-            nearest_vm_type(demand_memory_gb, demand_cores, catalog))
+    return oracle_provision(node, demand_memory_gb, demand_cores, catalog)
+
+
+def oracle_provision(node, demand_memory_gb, demand_cores, catalog):
+    """A demand that no catalog type covers gets no machine."""
+    try:
+        vm_type = nearest_vm_type(demand_memory_gb, demand_cores, catalog)
+    except NoFeasibleType:
+        return None
+    return ("provision", node.node_id, vm_type)
 
 
 def oracle_traffic_objective(machine, pred_placements, topology):
@@ -317,8 +337,7 @@ def oracle_select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
     best_node = min(open_nodes,
                     key=lambda n: (sum(topology.path_delay_s(p, n.node_id)
                                        for p in pred_nodes), n.node_id))
-    return ("provision", best_node.node_id,
-            nearest_vm_type(demand_memory_gb, demand_cores, catalog))
+    return oracle_provision(best_node, demand_memory_gb, demand_cores, catalog)
 
 
 def outcome(select, *args):

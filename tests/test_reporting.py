@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,8 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
         ({"rho_max": 0}, "topology.rho_max"),
         ({"micro_link_mu_pps": 5e-324}, "topology.micro_link_mu_pps"),
         ({"core_link_mu_pps": float("inf")}, "topology.core_link_mu_pps"),
+        ({"micro_count": 496, "core_count": 5}, "topology.micro_count"),
+        ({"micro_count": 10**30}, "topology.micro_count"),
     ]
     cases = [({"topology": topology}, field, ("validate", "run"))
              for topology, field in bad_topologies]
@@ -227,7 +230,9 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"exec_time_range_ms": [1, float("inf")]},
                    "workload.exec_time_range_ms"),
                   ({"capacity_range_rps": [20, 100]},
-                   "workload.capacity_range_rps")]]
+                   "workload.capacity_range_rps"),
+                  ({"request_count": 10**30}, "workload.request_count"),
+                  ({"request_count": 10_000_001}, "workload.request_count")]]
     cases += [({"chains": [chain]}, field, ("validate", "run"))
               for chain, field in [
                   ({"chain_id": 1, "nodes": 5}, "chains[0].nodes"),
@@ -252,13 +257,31 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
               for sweep, field in [
                   ({"repetitions": "a"}, "sweep.repetitions"),
                   ({"demand_points": 5}, "sweep.demand_points"),
-                  ({"policies": []}, "sweep.policies")]]
+                  ({"policies": []}, "sweep.policies"),
+                  ({"repetitions": 10_001}, "sweep.repetitions"),
+                  ({"load_demand_count": 10**30}, "sweep.load_demand_count"),
+                  ({"demand_points": [1, 10_000_001]}, "sweep.demand_points")]]
     for idx, (payload, field, commands) in enumerate(cases):
         path = write_scenario(tmp_path, payload, f"bad{idx}.json")
         for command in commands:
             assert cli_main([command, "--scenario", path]) == 2, (payload, command)
             err = capsys.readouterr().err
             assert field in err and "Traceback" not in err, (payload, command)
+
+
+def test_cli_reads_scenario_file_once(capsys):
+    # a pipe can be read only once
+    payload = json.dumps({"sweep": {"demand_points": [2], "policies": ["fws"],
+                                    "repetitions": 1, "demand_window_s": 0.05}})
+    for command in ("validate", "sweep"):
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "w") as fh:
+            fh.write(payload)
+        try:
+            assert cli_main([command, "--scenario", f"/dev/fd/{read_fd}"]) == 0, \
+                capsys.readouterr().err
+        finally:
+            os.close(read_fd)
 
 
 def test_cli_sweep_stdout(tmp_path, capsys):
