@@ -52,8 +52,9 @@ def main(argv=None) -> int:
         # read once: the file may be a pipe
         raw = read_scenario_file(args.scenario) if args.scenario else {}
         scenario = scenario_from_dict(raw)
+        # every command checks the whole file, the sweep section included
+        sweep = sweep_from_dict(raw)
         if args.command == "validate":
-            sweep_from_dict(raw)
             print(f"{args.scenario}: ok")
             return 0
         if args.seed is not None:
@@ -65,7 +66,6 @@ def main(argv=None) -> int:
             rows = report_rows(report, "demand", scenario.request_count)
             _deliver(rows, args)
             return 0
-        sweep = sweep_from_dict(raw)
         if args.policy is not None:
             sweep.policies = (args.policy,)
         rows = run_sweep(scenario, sweep, var=args.var)

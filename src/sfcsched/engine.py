@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .chains import ready_services
 from .fws import LabeledService, assign_labels, priority_key, select_machine_fws
-from .greedy import GREEDY_POLICIES, greedy_select_machine, priority_key_for
+from .greedy import GREEDY_POLICIES, greedy_select_machine, priority_key_for, rank_key
 from .infrastructure import provision_machine
 from .metrics import MetricsReport, RequestRecord, check_sla, total_cost
 from .scenario import Scenario, generate_workload, sample_service_defs
@@ -94,15 +94,23 @@ class SimulationRun:
         self.dropped = 0
         self.traffic_kb = 0.0      # online crossing-edge accumulator
 
+        self._greedy = GREEDY_POLICIES.get(scenario.policy)
+        self._priority_key = priority_key(scenario.weights) if self._greedy is None \
+            else priority_key_for(self._greedy.service_bias)
+        # A greedy run keeps the machines with a free core in its machine
+        # bias's rank order, with their keys alongside for bisection, so a
+        # selection stops at the first fit.  A core-full machine fits no
+        # demand (every service needs a core) and stays out.  fws scans.
+        self.ranked = self._ranked_keys = self._rank_key = None
+        if self._greedy is not None:
+            self.ranked, self._ranked_keys = [], []
+            self._rank_key = rank_key(self._greedy.machine_bias)
+
         if initial_machines:
             for node_id, vm_type in initial_machines:
                 self._provision(node_id, vm_type, active_at_ms=0.0)
         for req in self.requests:
             self._push(req.arrival_time_ms, EVENT_ARRIVAL, req)
-
-        self._greedy = GREEDY_POLICIES.get(scenario.policy)
-        self._priority_key = priority_key(scenario.weights) if self._greedy is None \
-            else priority_key_for(self._greedy.service_bias)
 
     # ------------------------------------------------------------------ events
 
@@ -151,8 +159,10 @@ class SimulationRun:
     def _on_finish(self, instance_id, service_id, machine):
         state = self.states[instance_id]
         sdef = self.defs[service_id]
+        self._unrank(machine)
         machine.buffer_service((instance_id, service_id),
                                sdef.memory_gb, sdef.cores)
+        self._rank(machine)
         state.remaining -= 1
         if not state.dropped:
             if state.remaining == 0:
@@ -224,8 +234,7 @@ class SimulationRun:
         sdef = self.defs[entry.service_id]
         if self._greedy is not None:
             return greedy_select_machine(
-                sdef.memory_gb, sdef.cores, self.machines,
-                self._greedy.machine_bias, self.topology,
+                sdef.memory_gb, sdef.cores, self.ranked, self.topology,
                 self.scenario.catalog, self.now)
         return select_machine_fws(
             sdef.memory_gb, sdef.cores, self._pred_placements(entry),
@@ -244,7 +253,25 @@ class SimulationRun:
         machine = provision_machine(node, vm_type, len(self.machines),
                                     active_at_ms=active_at_ms)
         self.machines.append(machine)
+        self._rank(machine)
         return machine
+
+    def _rank(self, machine):
+        """Insert a machine with a free core into `ranked` (greedy runs)."""
+        if self.ranked is not None and machine.used_cores < machine.vm_type.cores:
+            key = self._rank_key(machine)
+            i = bisect.bisect_left(self._ranked_keys, key)
+            self._ranked_keys.insert(i, key)
+            self.ranked.insert(i, machine)
+
+    def _unrank(self, machine):
+        """Take a machine out of `ranked` before its load changes."""
+        if self.ranked is not None and machine.used_cores < machine.vm_type.cores:
+            i = bisect.bisect_left(self._ranked_keys, self._rank_key(machine))
+            if i == len(self.ranked) or self.ranked[i] is not machine:
+                raise AssertionError(f"machine {machine.machine_id} not at its rank")
+            del self._ranked_keys[i]
+            del self.ranked[i]
 
     def _place(self, entry, choice):
         key = (entry.instance_id, entry.service_id)
@@ -261,7 +288,9 @@ class SimulationRun:
         else:
             machine = choice[1]
             boot_ms = max(0.0, machine.active_at_ms - t)
+        self._unrank(machine)
         machine.allocate(key, sdef.memory_gb, sdef.cores)
+        self._rank(machine)
 
         transfers_in = {}
         transfer_ms = 0.0

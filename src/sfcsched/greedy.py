@@ -41,34 +41,40 @@ def priority_key_for(service_bias):
     raise ValueError(f"unknown service bias {service_bias!r}")
 
 
+def rank_key(machine_bias):
+    """Preference order of one machine bias: utilization (the larger of the
+    memory and core shares) ascending for least_full and descending for
+    most_full, ties to the lowest machine id.  Float residue left in used
+    memory counts as load; -0.0 and 0.0 tie."""
+    sign = {LEAST_FULL: 1.0, MOST_FULL: -1.0}.get(machine_bias)
+    if sign is None:
+        raise ValueError(f"unknown machine bias {machine_bias!r}")
+
+    def key(m):
+        vm = m.vm_type
+        memory_util = m.used_memory_gb / vm.memory_gb
+        core_util = m.used_cores / vm.cores
+        return (sign * (memory_util if memory_util >= core_util else core_util),
+                m.machine_id)
+    return key
+
+
 def greedy_select_machine(demand_memory_gb, demand_cores, machines,
-                          machine_bias, topology, catalog, now_ms):
+                          topology, catalog, now_ms):
     """Utilization-biased machine choice with a provisioning fallback.
 
-    Among active machines with room, least_full takes the lowest and
-    most_full the highest utilization, ties to the lowest machine id.  With
+    `machines` is in `rank_key` order of the policy's bias, so the first
+    active machine with room is the least (or most) utilized one.  With
     none, `provision_choice` with no predecessors: the lowest free node.
     Returns ("existing", machine) or ("provision", node_id, vm_type), or
     None when no machine fits and every node is full or no catalog type
     covers the demand.
     """
-    sign = {LEAST_FULL: 1.0, MOST_FULL: -1.0}.get(machine_bias)
-    if sign is None:
-        raise ValueError(f"unknown machine bias {machine_bias!r}")
-    best = best_key = None
     for m in machines:
         vm = m.vm_type
-        used_memory_gb, used_cores = m.used_memory_gb, m.used_cores
-        # Machine.fits and Machine.utilization, inlined for this hot loop
+        # Machine.fits, inlined for this hot loop
         if (m.active_at_ms <= now_ms
-                and used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
-                and used_cores + demand_cores <= vm.cores):
-            memory_util = used_memory_gb / vm.memory_gb
-            core_util = used_cores / vm.cores
-            key = sign * (memory_util if memory_util >= core_util else core_util)
-            if (best is None or key < best_key
-                    or (key == best_key and m.machine_id < best.machine_id)):
-                best, best_key = m, key
-    if best is not None:
-        return ("existing", best)
+                and m.used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
+                and m.used_cores + demand_cores <= vm.cores):
+            return ("existing", m)
     return provision_choice(demand_memory_gb, demand_cores, (), topology, catalog)

@@ -5,6 +5,7 @@ fixed background load plus the line-rate contribution of transfers currently
 in flight; delays are evaluated on demand from that combined load.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import (NodeFull, NoFeasibleType, NonPositiveRate, NoPath,
@@ -139,6 +140,28 @@ class Machine:
         self.used_cores -= cores
 
 
+@functools.lru_cache(maxsize=8)
+def _all_pairs_routes(adjacency):
+    """BFS min-hop path (a tuple of link keys) for every connected node pair
+    of the graph ``((node, sorted neighbours), ...)``.  Topologies of one
+    shape share the cached table, so its routes are immutable."""
+    adj = dict(adjacency)
+    routes = {}
+    for src in adj:
+        paths = {src: ()}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in paths:
+                        paths[v] = paths[u] + ((min(u, v), max(u, v)),)
+                        nxt.append(v)
+            frontier = nxt
+        routes.update(((src, dst), path) for dst, path in paths.items())
+    return routes
+
+
 class Topology:
     """Cloud nodes plus undirected links with precomputed min-hop routes."""
 
@@ -158,34 +181,8 @@ class Topology:
             self.adj[n].sort()
         self.rho_max = rho_max
         self.packet_kb = packet_kb
-        self._routes = self._all_pairs_routes()
-
-    def _all_pairs_routes(self):
-        """BFS min-hop path (as a link-key list) for every node pair."""
-        routes = {}
-        for src in sorted(self.nodes):
-            parent = {src: None}
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in self.adj[u]:
-                        if v not in parent:
-                            parent[v] = u
-                            nxt.append(v)
-                frontier = nxt
-            for dst in sorted(self.nodes):
-                if dst == src:
-                    routes[(src, dst)] = []
-                elif dst in parent:
-                    path = []
-                    cur = dst
-                    while parent[cur] is not None:
-                        p = parent[cur]
-                        path.append((min(p, cur), max(p, cur)))
-                        cur = p
-                    routes[(src, dst)] = list(reversed(path))
-        return routes
+        self._routes = _all_pairs_routes(
+            tuple((n, tuple(self.adj[n])) for n in sorted(self.adj)))
 
     def route(self, src, dst):
         route = self._routes.get((src, dst))  # None for unknown or disconnected nodes

@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass, field
 
+from .greedy import GREEDY_POLICIES, rank_key
+
 
 @dataclass
 class RequestRecord:
@@ -74,8 +76,9 @@ def validate_run(sim) -> None:
 
     Checks precedence timing, machine capacity at every holding boundary,
     request conservation, label validity, that every machine has its
-    capacity back at quiescence, and that the online traffic accumulator
-    matches an independent recount.  Raises AssertionError.
+    capacity back at quiescence, that a greedy run's `ranked` holds its
+    free-core machines in rank order, and that the online traffic
+    accumulator matches an independent recount.  Raises AssertionError.
     """
     defs = sim.defs
     chain_of_instance = {rid: sim.chains[st.request.chain_id]
@@ -135,6 +138,13 @@ def validate_run(sim) -> None:
         assert not m.hosted, f"machine {m.machine_id}: still hosts {sorted(m.hosted)}"
         assert m.used_cores == 0, f"machine {m.machine_id}: cores not released"
         assert m.used_memory_gb <= 1e-9, f"machine {m.machine_id}: memory not released"
+
+    # greedy selection order
+    greedy = GREEDY_POLICIES.get(sim.scenario.policy)
+    if greedy is not None:
+        free = [m for m in sim.machines if m.used_cores < m.vm_type.cores]
+        assert sim.ranked == sorted(free, key=rank_key(greedy.machine_bias)), \
+            "ranked machines out of rank order"
 
     # node slot bounds
     per_node = {}

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfcsched import engine
 from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest, canonical_sfcs
 from sfcsched.engine import SimulationRun, run
 from sfcsched.fws import LabeledService
+from sfcsched.greedy import GREEDY_POLICIES, greedy_select_machine, rank_key
 from sfcsched.infrastructure import VmType, default_catalog
 from sfcsched.metrics import validate_run
 from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
@@ -324,3 +328,40 @@ def test_random_runs_pass_validate_run(policy, seed, micro_count, core_count,
     validate_run(sim)
     for link in sim.topology.links.values():
         assert link.transfer_pps == pytest.approx(0.0, abs=1e-9)
+
+
+def test_greedy_selection_sees_free_core_machines_in_rank_order(monkeypatch):
+    # mixed core counts (a 4-core type, 1-3 core demands) make machines go
+    # core-full and come back; preprovisioned machines start in the order
+    wide_catalog = CATALOGS[2]
+    calls = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        policy = rng.choice(("lfff", "mfff"))
+        key = rank_key(GREEDY_POLICIES[policy].machine_bias)
+        micro_count = rng.randint(1, 4)
+        topo = TopologySpec(micro_count=micro_count, core_count=1,
+                            micro_slots=rng.randint(1, 3), core_slots=rng.randint(2, 4))
+        sc = Scenario(policy=policy, rng_seed=seed, topology_spec=topo,
+                      catalog=rng.choice((default_catalog(), wide_catalog)),
+                      service_cores_choices=(1, 2, 3),
+                      request_count=rng.randint(1, 40),
+                      arrival_rate_rps=rng.choice((100.0, 1000.0, 5000.0)),
+                      provision_latency_ms=rng.choice((0.0, 50.0)),
+                      sla_delay_range_ms=(50.0, 600.0))
+        initial = [(micro_count, rng.choice(wide_catalog))
+                   for _ in range(rng.randint(0, 2))]
+        sim = SimulationRun(sc, initial_machines=initial)
+
+        def checked(demand_memory_gb, demand_cores, machines, *rest):
+            nonlocal calls
+            calls += 1
+            free = [m for m in sim.machines if m.used_cores < m.vm_type.cores]
+            assert machines == sorted(free, key=key)
+            return greedy_select_machine(demand_memory_gb, demand_cores,
+                                         machines, *rest)
+
+        monkeypatch.setattr(engine, "greedy_select_machine", checked)
+        sim.execute()
+        validate_run(sim)
+    assert calls > 1000

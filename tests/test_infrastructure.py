@@ -1,5 +1,6 @@
 import pytest
 
+from sfcsched import infrastructure
 from sfcsched.errors import (NodeFull, NoFeasibleType, NonPositiveRate, NoPath,
                              NotBuffered, UnstableQueue)
 from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology, VmType,
@@ -98,6 +99,24 @@ def test_default_topology_shape():
     for a in topo.nodes:
         for b in topo.nodes:
             assert topo.hops(a, b) <= 3
+
+
+def test_route_table_is_shared_per_topology_shape():
+    a, b = default_topology(), default_topology()
+    assert a._routes is b._routes
+    assert all(type(route) is tuple for route in a._routes.values())
+    # the shared table carries no load: each topology keeps its own links
+    a.set_background_load(0.5)
+    route = a.route(0, 19)
+    a.links[route[0]].transfer_pps += 100.0
+    assert b.links[route[0]].lambda_pps == 0.0
+    assert a.path_delay_s(0, 19) > b.path_delay_s(0, 19)
+
+    small = default_topology(micro_count=4, core_count=2)
+    assert small._routes is not a._routes
+    shape = tuple((n, tuple(small.adj[n])) for n in sorted(small.adj))
+    assert small._routes == infrastructure._all_pairs_routes.__wrapped__(shape)
+    assert small.route(0, 3) == ((0, 4), (4, 5), (3, 5))
 
 
 def test_nearest_vm_type_examples():

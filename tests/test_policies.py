@@ -7,7 +7,7 @@ from sfcsched.errors import NoFeasibleType
 from sfcsched.fws import (LabeledService, WeightParams, assign_labels,
                           compute_weight, priority_key, select_machine_fws)
 from sfcsched.greedy import (GREEDY_POLICIES, LEAST_FULL, MOST_FULL,
-                             greedy_select_machine, priority_key_for)
+                             greedy_select_machine, priority_key_for, rank_key)
 from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology, VmType,
                                      default_catalog, default_topology,
                                      nearest_vm_type)
@@ -196,13 +196,12 @@ def test_greedy_machine_bias_examples():
     low.allocate((0, 1), 0.8, 0)      # memory-only load: utilization 0.2
     high = Machine(1, 0, medium)
     high.allocate((0, 2), 3.2, 0)     # utilization 0.8
-    machines = [low, high]
-    _, m = greedy_select_machine(0.5, 1, machines, "least_full", topo,
-                                 default_catalog(), 0.0)
+    _, m = greedy_select_machine(0.5, 1, [low, high], topo, default_catalog(), 0.0)
     assert m is low
-    _, m = greedy_select_machine(0.5, 1, machines, "most_full", topo,
-                                 default_catalog(), 0.0)
+    _, m = greedy_select_machine(0.5, 1, [high, low], topo, default_catalog(), 0.0)
     assert m is high
+    assert sorted([high, low], key=rank_key("least_full")) == [low, high]
+    assert sorted([low, high], key=rank_key("most_full")) == [high, low]
 
 
 def test_greedy_most_full_respects_feasibility():
@@ -211,21 +210,20 @@ def test_greedy_most_full_respects_feasibility():
     full.allocate((0, 1), 1.9, 1)
     roomy = Machine(1, 0, VmType("t2.medium", 4.0, 2, 25.0, 0.068))
     roomy.allocate((0, 2), 1.0, 1)
-    _, m = greedy_select_machine(1.0, 1, [full, roomy], "most_full", topo,
-                                 default_catalog(), 0.0)
+    machines = sorted([roomy, full], key=rank_key("most_full"))
+    assert machines == [full, roomy]
+    _, m = greedy_select_machine(1.0, 1, machines, topo, default_catalog(), 0.0)
     assert m is roomy
 
 
 def test_greedy_provisions_on_lowest_free_node():
     topo = two_node_topology()
     topo.nodes[0].used_slots = topo.nodes[0].vm_slots
-    result = greedy_select_machine(1.0, 1, [], "least_full", topo,
-                                   default_catalog(), 0.0)
+    result = greedy_select_machine(1.0, 1, [], topo, default_catalog(), 0.0)
     assert result == ("provision", 1, SMALL)
     for node in topo.nodes.values():
         node.used_slots = node.vm_slots
-    assert greedy_select_machine(1.0, 1, [], "least_full", topo,
-                                 default_catalog(), 0.0) is None
+    assert greedy_select_machine(1.0, 1, [], topo, default_catalog(), 0.0) is None
 
 
 def test_uncovered_demand_gets_no_machine():
@@ -235,9 +233,8 @@ def test_uncovered_demand_gets_no_machine():
     for demand in ((64.0, 1), (1.0, 32)):
         assert select_machine_fws(*demand, [(3, m0, 10.0)], [m0], topo,
                                   default_catalog(), 0.0) is None
-        for bias in ("least_full", "most_full"):
-            assert greedy_select_machine(*demand, [m0], bias, topo,
-                                         default_catalog(), 0.0) is None
+        assert greedy_select_machine(*demand, [m0], topo,
+                                     default_catalog(), 0.0) is None
 
 
 def test_policy_registry_has_exactly_four():
@@ -276,6 +273,8 @@ def test_static_fws_key_matches_refreshed_weight_order():
 def test_priority_key_for_rejects_unknown_bias():
     with pytest.raises(ValueError):
         priority_key_for("random")
+    with pytest.raises(ValueError):
+        rank_key("random")
 
 
 # Reference machine selection: the list-building implementations that the
@@ -385,7 +384,9 @@ def test_single_loop_selection_matches_list_based_oracle():
         demand = (rng.choice((0.5, 1.0, 2.0, 4.0, 16.0)), rng.choice((1, 2)))
         for bias in (LEAST_FULL, MOST_FULL):
             args = (*demand, machines, bias, topology, catalog, now_ms)
-            assert outcome(greedy_select_machine, *args) == \
+            assert outcome(greedy_select_machine, *demand,
+                           sorted(machines, key=rank_key(bias)),
+                           topology, catalog, now_ms) == \
                 outcome(oracle_greedy_select_machine, *args)
         preds = [(sid, rng.choice(machines), rng.choice((5.0, 10.0, 12.5)))
                  for sid in range(rng.randint(0, 3) if machines else 0)]

@@ -253,7 +253,8 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"beta_wait": 10**400}, "fws.beta_wait"),
                   ({"dependents": 3}, "fws.dependents"),
                   ({"resume_latency_ms": None}, "fws.resume_latency_ms")]]
-    cases += [({"sweep": sweep}, field, ("validate", "sweep"))
+    # `run` checks the sweep section too, so a file `validate` rejects never runs
+    cases += [({"sweep": sweep}, field, ("validate", "run", "sweep"))
               for sweep, field in [
                   ({"repetitions": "a"}, "sweep.repetitions"),
                   ({"demand_points": 5}, "sweep.demand_points"),
@@ -261,6 +262,8 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"repetitions": 10_001}, "sweep.repetitions"),
                   ({"load_demand_count": 10**30}, "sweep.load_demand_count"),
                   ({"demand_points": [1, 10_000_001]}, "sweep.demand_points")]]
+    cases.append(({"workload": {"request_count": 1}, "sweep": {"repetitions": 0}},
+                  "sweep.repetitions", ("validate", "run", "sweep")))
     for idx, (payload, field, commands) in enumerate(cases):
         path = write_scenario(tmp_path, payload, f"bad{idx}.json")
         for command in commands:
