@@ -22,7 +22,8 @@ import heapq
 from dataclasses import dataclass, field
 
 from .chains import ready_services
-from .fws import LabeledService, assign_labels, priority_key, select_machine_fws
+from .fws import (LabeledService, assign_labels, priority_key, rank_key_fws,
+                  select_machine_fws)
 from .greedy import GREEDY_POLICIES, greedy_select_machine, priority_key_for, rank_key
 from .infrastructure import provision_machine
 from .metrics import MetricsReport, RequestRecord, check_sla, total_cost
@@ -97,14 +98,12 @@ class SimulationRun:
         self._greedy = GREEDY_POLICIES.get(scenario.policy)
         self._priority_key = priority_key(scenario.weights) if self._greedy is None \
             else priority_key_for(self._greedy.service_bias)
-        # A greedy run keeps the machines with a free core in its machine
-        # bias's rank order, with their keys alongside for bisection, so a
-        # selection stops at the first fit.  A core-full machine fits no
-        # demand (every service needs a core) and stays out.  fws scans.
-        self.ranked = self._ranked_keys = self._rank_key = None
-        if self._greedy is not None:
-            self.ranked, self._ranked_keys = [], []
-            self._rank_key = rank_key(self._greedy.machine_bias)
+        # Selection sees only `ranked`: the free-core machines in the policy's
+        # order (a core-full machine fits no demand; every service needs a
+        # core).  Keys alongside, for bisection; `_rank_of`: id -> key or None.
+        self._rank_key = rank_key_fws if self._greedy is None \
+            else rank_key(self._greedy.machine_bias)
+        self.ranked, self._ranked_keys, self._rank_of = [], [], {}
 
         if initial_machines:
             for node_id, vm_type in initial_machines:
@@ -159,10 +158,9 @@ class SimulationRun:
     def _on_finish(self, instance_id, service_id, machine):
         state = self.states[instance_id]
         sdef = self.defs[service_id]
-        self._unrank(machine)
         machine.buffer_service((instance_id, service_id),
                                sdef.memory_gb, sdef.cores)
-        self._rank(machine)
+        self._rerank(machine)
         state.remaining -= 1
         if not state.dropped:
             if state.remaining == 0:
@@ -238,7 +236,7 @@ class SimulationRun:
                 self.scenario.catalog, self.now)
         return select_machine_fws(
             sdef.memory_gb, sdef.cores, self._pred_placements(entry),
-            self.machines, self.topology, self.scenario.catalog, self.now)
+            self.ranked, self.topology, self.scenario.catalog, self.now)
 
     def _pred_placements(self, entry):
         """(pred, machine, data_out_kb) per predecessor, in ascending id
@@ -253,25 +251,26 @@ class SimulationRun:
         machine = provision_machine(node, vm_type, len(self.machines),
                                     active_at_ms=active_at_ms)
         self.machines.append(machine)
-        self._rank(machine)
+        self._rerank(machine)
         return machine
 
-    def _rank(self, machine):
-        """Insert a machine with a free core into `ranked` (greedy runs)."""
-        if self.ranked is not None and machine.used_cores < machine.vm_type.cores:
-            key = self._rank_key(machine)
+    def _rerank(self, machine):
+        """Keep `ranked` in order after a machine is provisioned or loaded."""
+        key = self._rank_key(machine) \
+            if machine.used_cores < machine.vm_type.cores else None
+        old = self._rank_of.get(machine.machine_id)
+        if key == old:
+            return
+        if old is not None:
+            i = bisect.bisect_left(self._ranked_keys, old)
+            if i == len(self.ranked) or self.ranked[i] is not machine:
+                raise AssertionError(f"machine {machine.machine_id} not at its rank")
+            del self._ranked_keys[i], self.ranked[i]
+        if key is not None:
             i = bisect.bisect_left(self._ranked_keys, key)
             self._ranked_keys.insert(i, key)
             self.ranked.insert(i, machine)
-
-    def _unrank(self, machine):
-        """Take a machine out of `ranked` before its load changes."""
-        if self.ranked is not None and machine.used_cores < machine.vm_type.cores:
-            i = bisect.bisect_left(self._ranked_keys, self._rank_key(machine))
-            if i == len(self.ranked) or self.ranked[i] is not machine:
-                raise AssertionError(f"machine {machine.machine_id} not at its rank")
-            del self._ranked_keys[i]
-            del self.ranked[i]
+        self._rank_of[machine.machine_id] = key
 
     def _place(self, entry, choice):
         key = (entry.instance_id, entry.service_id)
@@ -288,9 +287,8 @@ class SimulationRun:
         else:
             machine = choice[1]
             boot_ms = max(0.0, machine.active_at_ms - t)
-        self._unrank(machine)
         machine.allocate(key, sdef.memory_gb, sdef.cores)
-        self._rank(machine)
+        self._rerank(machine)
 
         transfers_in = {}
         transfer_ms = 0.0

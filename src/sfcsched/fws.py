@@ -108,17 +108,23 @@ def _traffic_objective(node_id, pred_placements, topology):
     return cost
 
 
+def rank_key_fws(machine):
+    """fws's machine order: by id, its tie-break among equal objectives."""
+    return machine.machine_id
+
+
 def select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
                        machines, topology, catalog, now_ms):
     """Affinity-first machine choice.
 
     (a) a predecessor's machine with room; only when none has room, (b) any
     machine with room; both keep the one adding the least hop-weighted
-    traffic, ties to the lowest machine id.  (c) `provision_choice` on the
-    free-slot node closest to the predecessors.  Every predecessor machine
-    must be in `machines`, as the engine's always are.  Returns
-    ("existing", machine) or ("provision", node_id, vm_type), or None when
-    every node is full or no catalog type covers the demand.
+    traffic, ties to the lowest machine id, whatever the order of
+    `machines`.  (c) `provision_choice` on the free-slot node closest to the
+    predecessors.  `machines` holds every machine with a free core; a
+    predecessor machine missing from it is core-full and fits no demand, as
+    every service needs a core.  Returns ("existing", machine), ("provision",
+    node_id, vm_type), or None if every node is full or no type covers it.
     """
     objective = {}  # node_id -> _traffic_objective, filled on first use
     for candidates in ([pm for _, pm, _ in pred_placements], machines):

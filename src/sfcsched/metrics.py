@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass, field
 
+from .fws import rank_key_fws
 from .greedy import GREEDY_POLICIES, rank_key
 
 
@@ -76,8 +77,8 @@ def validate_run(sim) -> None:
 
     Checks precedence timing, machine capacity at every holding boundary,
     request conservation, label validity, that every machine has its
-    capacity back at quiescence, that a greedy run's `ranked` holds its
-    free-core machines in rank order, and that the online traffic
+    capacity back at quiescence, that `ranked` holds the machines in the
+    policy's machine order, and that the online traffic
     accumulator matches an independent recount.  Raises AssertionError.
     """
     defs = sim.defs
@@ -139,12 +140,10 @@ def validate_run(sim) -> None:
         assert m.used_cores == 0, f"machine {m.machine_id}: cores not released"
         assert m.used_memory_gb <= 1e-9, f"machine {m.machine_id}: memory not released"
 
-    # greedy selection order
+    # selection order: every machine, idle now, in the policy's machine order
     greedy = GREEDY_POLICIES.get(sim.scenario.policy)
-    if greedy is not None:
-        free = [m for m in sim.machines if m.used_cores < m.vm_type.cores]
-        assert sim.ranked == sorted(free, key=rank_key(greedy.machine_bias)), \
-            "ranked machines out of rank order"
+    key = rank_key_fws if greedy is None else rank_key(greedy.machine_bias)
+    assert sim.ranked == sorted(sim.machines, key=key), "ranked machines out of order"
 
     # node slot bounds
     per_node = {}

@@ -105,13 +105,14 @@ _CHAIN_KEYS = ("chain_id", "nodes", "edges")
 def read_scenario_file(path) -> dict:
     """The file's top-level object, its section names checked."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data.decode("utf-8"))
+    # ValueError covers bad JSON and bad UTF-8; nesting can go too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -227,15 +228,11 @@ def report_rows(report, sweep_var, sweep_value) -> list:
             for m in METRIC_NAMES]
 
 
-def _sorted_rows(rows):
-    return sorted(rows, key=lambda r: (r.policy, r.sweep_value, r.metric))
-
-
 def render_results(rows, fmt="csv") -> str:
     """Deterministic text for a row list; csv or an equivalent JSON object."""
     if not rows:
         raise ValidationError("rows", "nothing to emit")
-    ordered = _sorted_rows(rows)
+    ordered = sorted(rows, key=lambda r: (r.policy, r.sweep_value, r.metric))
     if fmt == "csv":
         lines = [CSV_HEADER]
         for r in ordered:
@@ -273,11 +270,11 @@ def load_results(text) -> list:
         raise ParseError("missing results header")
     rows = []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"malformed results row: {ln!r}")
-        rows.append(ResultRow(policy=parts[0], sweep_var=parts[1],
-                              sweep_value=_parse_number(parts[2]),
-                              metric=parts[3], mean=float(parts[4]),
-                              reps=int(parts[5])))
+        try:
+            policy, var, value, metric, mean, reps = ln.split(",")
+            rows.append(ResultRow(policy=policy, sweep_var=var,
+                                  sweep_value=_parse_number(value), metric=metric,
+                                  mean=float(mean), reps=int(reps)))
+        except (ValueError, OverflowError) as exc:  # field count or a number
+            raise ParseError(f"malformed results row: {ln!r}") from exc
     return rows

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sfcsched import engine
 from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest, canonical_sfcs
 from sfcsched.engine import SimulationRun, run
-from sfcsched.fws import LabeledService
+from sfcsched.fws import LabeledService, select_machine_fws
 from sfcsched.greedy import GREEDY_POLICIES, greedy_select_machine, rank_key
 from sfcsched.infrastructure import VmType, default_catalog
 from sfcsched.metrics import validate_run
@@ -330,15 +330,18 @@ def test_random_runs_pass_validate_run(policy, seed, micro_count, core_count,
         assert link.transfer_pps == pytest.approx(0.0, abs=1e-9)
 
 
-def test_greedy_selection_sees_free_core_machines_in_rank_order(monkeypatch):
+def test_selection_sees_free_core_machines_in_policy_order(monkeypatch):
     # mixed core counts (a 4-core type, 1-3 core demands) make machines go
     # core-full and come back; preprovisioned machines start in the order
     wide_catalog = CATALOGS[2]
-    calls = 0
+    calls = {"fws": 0, "greedy": 0}
     for seed in range(200):
         rng = random.Random(seed)
-        policy = rng.choice(("lfff", "mfff"))
-        key = rank_key(GREEDY_POLICIES[policy].machine_bias)
+        policy = rng.choice(("fws", "lfff", "mfff"))
+        greedy = GREEDY_POLICIES.get(policy)
+        # fws takes the lowest id among equal objectives, so it walks by id
+        key = (lambda m: m.machine_id) if greedy is None \
+            else rank_key(greedy.machine_bias)
         micro_count = rng.randint(1, 4)
         topo = TopologySpec(micro_count=micro_count, core_count=1,
                             micro_slots=rng.randint(1, 3), core_slots=rng.randint(2, 4))
@@ -353,15 +356,23 @@ def test_greedy_selection_sees_free_core_machines_in_rank_order(monkeypatch):
                    for _ in range(rng.randint(0, 2))]
         sim = SimulationRun(sc, initial_machines=initial)
 
-        def checked(demand_memory_gb, demand_cores, machines, *rest):
-            nonlocal calls
-            calls += 1
+        def check(kind, machines):
+            calls[kind] += 1
             free = [m for m in sim.machines if m.used_cores < m.vm_type.cores]
             assert machines == sorted(free, key=key)
+
+        def checked_greedy(demand_memory_gb, demand_cores, machines, *rest):
+            check("greedy", machines)
             return greedy_select_machine(demand_memory_gb, demand_cores,
                                          machines, *rest)
 
-        monkeypatch.setattr(engine, "greedy_select_machine", checked)
+        def checked_fws(demand_memory_gb, demand_cores, preds, machines, *rest):
+            check("fws", machines)
+            return select_machine_fws(demand_memory_gb, demand_cores, preds,
+                                      machines, *rest)
+
+        monkeypatch.setattr(engine, "greedy_select_machine", checked_greedy)
+        monkeypatch.setattr(engine, "select_machine_fws", checked_fws)
         sim.execute()
         validate_run(sim)
-    assert calls > 1000
+    assert calls["fws"] > 1000 and calls["greedy"] > 1000

@@ -49,11 +49,18 @@ def test_unknown_keys_rejected(tmp_path):
         parse_scenario(path)
 
 
-def test_malformed_json_is_parse_error(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{nope")
-    with pytest.raises(ParseError):
-        parse_scenario(str(path))
+def test_malformed_json_is_parse_error(tmp_path, capsys):
+    contents = {"bad.json": b"{nope",
+                "latin1.json": b'{"workload": {"policy": "f\xffws"}}',
+                "deep.json": b"[" * 100_000}
+    for name, data in contents.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ParseError):
+            parse_scenario(str(path))
+        assert cli_main(["validate", "--scenario", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "Traceback" not in err, name
 
 
 def test_catalog_override(tmp_path):
@@ -270,6 +277,24 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
             assert cli_main([command, "--scenario", path]) == 2, (payload, command)
             err = capsys.readouterr().err
             assert field in err and "Traceback" not in err, (payload, command)
+
+
+def test_load_results_rejects_malformed_rows():
+    header = "policy,sweep_var,sweep_value,metric,mean,reps"
+    good = "fws,demand,100,traffic_kb,1.5,5"
+    assert load_results(f"{header}\n{good}\n")[0].sweep_value == 100
+    bad_rows = ("fws,demand,abc,traffic_kb,1.5,5",
+                "fws,demand,1e400,traffic_kb,1.5,5",
+                "fws,demand,nan,traffic_kb,1.5,5",
+                "fws,demand,100,traffic_kb,x,5",
+                "fws,demand,100,traffic_kb,1.5,x",
+                "fws,demand,100,traffic_kb,1.5")
+    for row in bad_rows:
+        with pytest.raises(ParseError) as err:
+            load_results(f"{header}\n{good}\n{row}\n")
+        assert row in str(err.value)
+    with pytest.raises(ParseError):
+        load_results(good + "\n")
 
 
 def test_cli_reads_scenario_file_once(capsys):
