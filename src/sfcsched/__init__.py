@@ -10,7 +10,7 @@ from .chains import (MicroServiceDef, ServiceChain, UserRequest, canonical_sfcs,
 from .engine import Placement, SimulationRun, run
 from .fws import (LabeledService, WeightParams, assign_labels, compute_weight,
                   select_machine_fws)
-from .greedy import GREEDY_POLICIES, GreedyPolicy, greedy_select_machine
+from .greedy import GREEDY_POLICIES, greedy_select_machine
 from .infrastructure import (CloudNode, Link, Machine, Topology, VmType,
                              default_catalog, default_topology, link_delay,
                              nearest_vm_type, provision_machine)

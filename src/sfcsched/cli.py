@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # read once: the file may be a pipe
-        raw = read_scenario_file(args.scenario) if args.scenario else {}
+        raw = read_scenario_file(args.scenario) if args.scenario is not None else {}
         scenario = scenario_from_dict(raw)
         # every command checks the whole file, the sweep section included
         sweep = sweep_from_dict(raw)

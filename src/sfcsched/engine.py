@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .chains import ready_services
 from .fws import (LabeledService, assign_labels, priority_key, rank_key_fws,
                   select_machine_fws)
-from .greedy import GREEDY_POLICIES, greedy_select_machine, priority_key_for, rank_key
+from .greedy import GREEDY_POLICIES, greedy_select_machine
 from .infrastructure import provision_machine
 from .metrics import MetricsReport, RequestRecord, check_sla, total_cost
 from .scenario import Scenario, generate_workload, sample_service_defs
@@ -95,14 +95,12 @@ class SimulationRun:
         self.dropped = 0
         self.traffic_kb = 0.0      # online crossing-edge accumulator
 
-        self._greedy = GREEDY_POLICIES.get(scenario.policy)
-        self._priority_key = priority_key(scenario.weights) if self._greedy is None \
-            else priority_key_for(self._greedy.service_bias)
+        self._greedy = scenario.policy in GREEDY_POLICIES
+        self._rank_key, self._priority_key = GREEDY_POLICIES.get(
+            scenario.policy, (rank_key_fws, priority_key(scenario.weights)))
         # Selection sees only `ranked`: the free-core machines in the policy's
         # order (a core-full machine fits no demand; every service needs a
         # core).  Keys alongside, for bisection; `_rank_of`: id -> key or None.
-        self._rank_key = rank_key_fws if self._greedy is None \
-            else rank_key(self._greedy.machine_bias)
         self.ranked, self._ranked_keys, self._rank_of = [], [], {}
 
         if initial_machines:
@@ -230,7 +228,7 @@ class SimulationRun:
 
     def _select_machine(self, entry):
         sdef = self.defs[entry.service_id]
-        if self._greedy is not None:
+        if self._greedy:
             return greedy_select_machine(
                 sdef.memory_gb, sdef.cores, self.ranked, self.topology,
                 self.scenario.catalog, self.now)

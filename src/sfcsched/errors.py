@@ -29,10 +29,6 @@ class NoPath(SfcSchedError):
     """No route between the requested cloud nodes."""
 
 
-class NoFeasibleType(SfcSchedError):
-    """Resource demand exceeds every catalog VM type."""
-
-
 class NodeFull(SfcSchedError):
     """Cloud node has no free VM slot."""
 

@@ -7,6 +7,7 @@ network.
 """
 
 import heapq
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -108,9 +109,8 @@ def _traffic_objective(node_id, pred_placements, topology):
     return cost
 
 
-def rank_key_fws(machine):
-    """fws's machine order: by id, its tie-break among equal objectives."""
-    return machine.machine_id
+# fws's machine order: by id, its tie-break among equal objectives
+rank_key_fws = operator.attrgetter("machine_id")
 
 
 def select_machine_fws(demand_memory_gb, demand_cores, pred_placements,

@@ -8,8 +8,7 @@ in flight; delays are evaluated on demand from that combined load.
 import functools
 from dataclasses import dataclass, field
 
-from .errors import (NodeFull, NoFeasibleType, NonPositiveRate, NoPath,
-                     NotBuffered, UnstableQueue)
+from .errors import NodeFull, NonPositiveRate, NoPath, NotBuffered, UnstableQueue
 
 MICRO = "micro"
 CORE = "core"
@@ -45,20 +44,12 @@ def default_catalog():
     ]
 
 
-def _covering_type(demand_memory_gb, demand_cores, catalog):
-    """Cheapest catalog type covering the demand, ties by cost then name."""
+def nearest_vm_type(demand_memory_gb, demand_cores, catalog):
+    """Cheapest catalog type covering the demand, ties by cost then name;
+    None when no type covers it."""
     return min((t for t in catalog
                 if t.memory_gb >= demand_memory_gb and t.cores >= demand_cores),
                key=lambda t: (t.hourly_cost, t.name), default=None)
-
-
-def nearest_vm_type(demand_memory_gb, demand_cores, catalog) -> VmType:
-    """`_covering_type`, raising NoFeasibleType when no type covers the demand."""
-    vm_type = _covering_type(demand_memory_gb, demand_cores, catalog)
-    if vm_type is None:
-        raise NoFeasibleType(
-            f"no type fits {demand_memory_gb} GB / {demand_cores} cores")
-    return vm_type
 
 
 def link_delay(lambda_pps, mu_pps) -> float:
@@ -237,7 +228,7 @@ def provision_choice(demand_memory_gb, demand_cores, near_nodes, topology, catal
     open_ids = [n for n, node in topology.nodes.items() if node.has_free_slot()]
     if not open_ids:
         return None
-    vm_type = _covering_type(demand_memory_gb, demand_cores, catalog)
+    vm_type = nearest_vm_type(demand_memory_gb, demand_cores, catalog)
     if vm_type is None:
         return None
     return ("provision", min(open_ids, key=lambda n: (

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass, field
 
 from .fws import rank_key_fws
-from .greedy import GREEDY_POLICIES, rank_key
+from .greedy import GREEDY_POLICIES
 
 
 @dataclass
@@ -77,9 +77,10 @@ def validate_run(sim) -> None:
 
     Checks precedence timing, machine capacity at every holding boundary,
     request conservation, label validity, that every machine has its
-    capacity back at quiescence, that `ranked` holds the machines in the
-    policy's machine order, and that the online traffic
-    accumulator matches an independent recount.  Raises AssertionError.
+    capacity back and every link its transfer load (to 1e-9 pps) at
+    quiescence, that `ranked` holds the machines in the policy's machine
+    order, and that the online traffic accumulator matches an independent
+    recount.  Raises AssertionError.
     """
     defs = sim.defs
     chain_of_instance = {rid: sim.chains[st.request.chain_id]
@@ -134,15 +135,16 @@ def validate_run(sim) -> None:
             assert mem <= vm.memory_gb + 1e-6, f"machine {mid}: memory overcommit"
             assert cores <= vm.cores, f"machine {mid}: core overcommit"
 
-    # capacity returned: every placed service finished and released
+    # capacity and link load returned: every service and transfer finished
     for m in sim.machines:
         assert not m.hosted, f"machine {m.machine_id}: still hosts {sorted(m.hosted)}"
         assert m.used_cores == 0, f"machine {m.machine_id}: cores not released"
         assert m.used_memory_gb <= 1e-9, f"machine {m.machine_id}: memory not released"
+    for key, link in sim.topology.links.items():
+        assert abs(link.transfer_pps) <= 1e-9, f"link {key}: transfer load not released"
 
     # selection order: every machine, idle now, in the policy's machine order
-    greedy = GREEDY_POLICIES.get(sim.scenario.policy)
-    key = rank_key_fws if greedy is None else rank_key(greedy.machine_bias)
+    key, _ = GREEDY_POLICIES.get(sim.scenario.policy, (rank_key_fws, None))
     assert sim.ranked == sorted(sim.machines, key=key), "ranked machines out of order"
 
     # node slot bounds

@@ -132,7 +132,7 @@ def scenario_from_dict(raw) -> Scenario:
         **_section(raw.get("topology", {}), "topology", _TOPOLOGY_KEYS))}
 
     catalog_raw = raw.get("catalog")
-    if catalog_raw is not None:
+    if "catalog" in raw:  # null too: it fails the list check
         if not isinstance(catalog_raw, list) or not catalog_raw:
             raise ValidationError("catalog", "must be a nonempty list")
         kw["catalog"] = []
@@ -145,7 +145,7 @@ def scenario_from_dict(raw) -> Scenario:
                 raise ValidationError(path, str(exc)) from exc
 
     chains_raw = raw.get("chains")
-    if chains_raw is not None:
+    if "chains" in raw:  # null too: it fails the list check
         if not isinstance(chains_raw, list) or not chains_raw:
             raise ValidationError("chains", "must be a nonempty list")
         kw["chains"] = []

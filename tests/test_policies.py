@@ -3,11 +3,10 @@ import random
 import pytest
 
 from sfcsched.chains import ServiceChain
-from sfcsched.errors import NoFeasibleType
 from sfcsched.fws import (LabeledService, WeightParams, assign_labels,
                           compute_weight, priority_key, select_machine_fws)
-from sfcsched.greedy import (GREEDY_POLICIES, LEAST_FULL, MOST_FULL,
-                             greedy_select_machine, priority_key_for, rank_key)
+from sfcsched.greedy import (GREEDY_POLICIES, decreasing_time, first_finish,
+                             greedy_select_machine, least_full, most_full)
 from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology, VmType,
                                      default_catalog, default_topology,
                                      nearest_vm_type)
@@ -178,15 +177,15 @@ def test_fws_every_node_full_returns_none():
 def test_greedy_service_bias_examples():
     fast = entry(1, 2, 4, exec_ms=30.0)
     slow = entry(0, 1, 4, exec_ms=70.0)
-    assert min([slow, fast], key=priority_key_for("first_finish")) is fast
-    assert min([slow, fast], key=priority_key_for("decreasing_time")) is slow
-    assert min([fast], key=priority_key_for("decreasing_time")) is fast
+    assert min([slow, fast], key=first_finish) is fast
+    assert min([slow, fast], key=decreasing_time) is slow
+    assert min([fast], key=decreasing_time) is fast
 
 
 def test_greedy_service_candidates_are_max_label_set():
     lower_label_shorter = entry(0, 1, 2, exec_ms=5.0)
     top = entry(1, 2, 6, exec_ms=90.0)
-    assert min([lower_label_shorter, top], key=priority_key_for("first_finish")) is top
+    assert min([lower_label_shorter, top], key=first_finish) is top
 
 
 def test_greedy_machine_bias_examples():
@@ -200,8 +199,8 @@ def test_greedy_machine_bias_examples():
     assert m is low
     _, m = greedy_select_machine(0.5, 1, [high, low], topo, default_catalog(), 0.0)
     assert m is high
-    assert sorted([high, low], key=rank_key("least_full")) == [low, high]
-    assert sorted([low, high], key=rank_key("most_full")) == [high, low]
+    assert sorted([high, low], key=least_full) == [low, high]
+    assert sorted([low, high], key=most_full) == [high, low]
 
 
 def test_greedy_most_full_respects_feasibility():
@@ -210,7 +209,7 @@ def test_greedy_most_full_respects_feasibility():
     full.allocate((0, 1), 1.9, 1)
     roomy = Machine(1, 0, VmType("t2.medium", 4.0, 2, 25.0, 0.068))
     roomy.allocate((0, 2), 1.0, 1)
-    machines = sorted([roomy, full], key=rank_key("most_full"))
+    machines = sorted([roomy, full], key=most_full)
     assert machines == [full, roomy]
     _, m = greedy_select_machine(1.0, 1, machines, topo, default_catalog(), 0.0)
     assert m is roomy
@@ -270,15 +269,12 @@ def test_static_fws_key_matches_refreshed_weight_order():
         assert sorted(q, key=priority_key(params)) == sorted(q, key=refreshed)
 
 
-def test_priority_key_for_rejects_unknown_bias():
-    with pytest.raises(ValueError):
-        priority_key_for("random")
-    with pytest.raises(ValueError):
-        rank_key("random")
-
-
 # Reference machine selection: the list-building implementations that the
 # single-loop ones replaced.  Both must pick the same machine on any input.
+
+LEAST_FULL = "least_full"
+MOST_FULL = "most_full"
+
 
 def oracle_greedy_select_machine(demand_memory_gb, demand_cores, machines,
                                  machine_bias, topology, catalog, now_ms):
@@ -301,9 +297,8 @@ def oracle_greedy_select_machine(demand_memory_gb, demand_cores, machines,
 
 def oracle_provision(node, demand_memory_gb, demand_cores, catalog):
     """A demand that no catalog type covers gets no machine."""
-    try:
-        vm_type = nearest_vm_type(demand_memory_gb, demand_cores, catalog)
-    except NoFeasibleType:
+    vm_type = nearest_vm_type(demand_memory_gb, demand_cores, catalog)
+    if vm_type is None:
         return None
     return ("provision", node.node_id, vm_type)
 
@@ -341,10 +336,7 @@ def oracle_select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
 
 def outcome(select, *args):
     """A comparable summary of one selection call: machine ids, not objects."""
-    try:
-        result = select(*args)
-    except NoFeasibleType:
-        return "no feasible type"
+    result = select(*args)
     if result is None or result[0] == "provision":
         return result
     return ("existing", result[1].machine_id)
@@ -382,10 +374,10 @@ def test_single_loop_selection_matches_list_based_oracle():
             link.background_pps = rng.choice((0.0, 0.5)) * link.mu_pps
         machines = random_machines(rng, topology, catalog, now_ms)
         demand = (rng.choice((0.5, 1.0, 2.0, 4.0, 16.0)), rng.choice((1, 2)))
-        for bias in (LEAST_FULL, MOST_FULL):
+        for bias, order in ((LEAST_FULL, least_full), (MOST_FULL, most_full)):
             args = (*demand, machines, bias, topology, catalog, now_ms)
             assert outcome(greedy_select_machine, *demand,
-                           sorted(machines, key=rank_key(bias)),
+                           sorted(machines, key=order),
                            topology, catalog, now_ms) == \
                 outcome(oracle_greedy_select_machine, *args)
         preds = [(sid, rng.choice(machines), rng.choice((5.0, 10.0, 12.5)))

@@ -252,6 +252,9 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"memory_gb": 0}, "catalog[0].memory_gb"),
                   ({"cores": 0}, "catalog[0].cores"),
                   ({"hourly_cost": -1}, "catalog[0].hourly_cost")]]
+    # a null section is rejected like any other non-list
+    cases += [({"catalog": None}, "catalog", ("validate", "run")),
+              ({"chains": None}, "chains", ("validate", "run"))]
     cases += [({"fws": fws}, field, ("validate", "run"))
               for fws, field in [
                   ({"alpha_dep": True, "beta_wait": False}, "fws.alpha_dep"),
@@ -277,6 +280,15 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
             assert cli_main([command, "--scenario", path]) == 2, (payload, command)
             err = capsys.readouterr().err
             assert field in err and "Traceback" not in err, (payload, command)
+
+
+def test_cli_empty_scenario_path_is_unreadable(capsys):
+    # an empty path names no file; it must not fall back to the defaults
+    for command in ("validate", "run", "sweep"):
+        assert cli_main([command, "--scenario", ""]) == 1, command
+        captured = capsys.readouterr()
+        assert "cannot read scenario file" in captured.err, command
+        assert "Traceback" not in captured.err and not captured.out, command
 
 
 def test_load_results_rejects_malformed_rows():
