@@ -102,6 +102,9 @@ class SimulationRun:
         # order (a core-full machine fits no demand; every service needs a
         # core).  Keys alongside, for bisection; `_rank_of`: id -> key or None.
         self.ranked, self._ranked_keys, self._rank_of = [], [], {}
+        # (memory_gb, cores) demands that found no machine; see _dispatch
+        self._failed = set()
+        self._booting = []         # heap of (active_at_ms, machine_id)
 
         if initial_machines:
             for node_id, vm_type in initial_machines:
@@ -159,6 +162,8 @@ class SimulationRun:
         machine.buffer_service((instance_id, service_id),
                                sdef.memory_gb, sdef.cores)
         self._rerank(machine)
+        if self._failed:
+            self._unmemo(machine)
         state.remaining -= 1
         if not state.dropped:
             if state.remaining == 0:
@@ -197,16 +202,21 @@ class SimulationRun:
     def _dispatch(self):
         """One pass over the ready queue, which is kept in priority order.
 
-        Within one call `now` is fixed and placements only take capacity and
-        node slots, so a demand that found no machine stays unplaceable for
-        the rest of the call.  Later entries with that (memory, cores) demand
-        skip selection and go straight to the SLA-drop check, and no entry
-        passed over needs a second look.  The entries neither placed nor
-        dropped, still in order, form the next queue.
+        A selection fails, with no side effects, only when no active machine
+        fits the (memory, cores) demand and no node can take a machine of a
+        type covering it.  Node slots are never freed, placements only take
+        capacity and link load decides no fit, so a failed demand joins
+        `_failed` and stays unplaceable across passes until a release on a
+        machine that then fits it (`_on_finish`) or the boot of one (popped
+        from `_booting` here).  Entries with a memoised demand skip selection
+        and go straight to the SLA-drop check.  The entries neither placed
+        nor dropped, still in order, form the next queue.
         """
+        while self._booting and self._booting[0][0] <= self.now:
+            self._unmemo(self.machines[heapq.heappop(self._booting)[1]])
         if not self.ready:
             return
-        failed = set()
+        failed = self._failed
         waiting = []
         for entry in self.ready:
             state = self.states[entry.instance_id]
@@ -215,9 +225,10 @@ class SimulationRun:
             sdef = self.defs[entry.service_id]
             demand = (sdef.memory_gb, sdef.cores)
             if demand not in failed:
-                choice = self._select_machine(entry)
+                preds = self._pred_placements(entry)
+                choice = self._select_machine(entry, preds)
                 if choice is not None:
-                    self._place(entry, choice)
+                    self._place(entry, choice, preds)
                     continue
                 failed.add(demand)
             if self.now - state.request.arrival_time_ms > state.request.delay_sla_ms:
@@ -226,14 +237,18 @@ class SimulationRun:
                 waiting.append(entry)
         self.ready = waiting
 
-    def _select_machine(self, entry):
+    def _unmemo(self, machine):
+        """Retry every failed demand that the active `machine` now fits."""
+        self._failed -= {d for d in self._failed if machine.fits(*d)}
+
+    def _select_machine(self, entry, preds):
         sdef = self.defs[entry.service_id]
         if self._greedy:
             return greedy_select_machine(
                 sdef.memory_gb, sdef.cores, self.ranked, self.topology,
                 self.scenario.catalog, self.now)
         return select_machine_fws(
-            sdef.memory_gb, sdef.cores, self._pred_placements(entry),
+            sdef.memory_gb, sdef.cores, preds,
             self.ranked, self.topology, self.scenario.catalog, self.now)
 
     def _pred_placements(self, entry):
@@ -250,6 +265,7 @@ class SimulationRun:
                                     active_at_ms=active_at_ms)
         self.machines.append(machine)
         self._rerank(machine)
+        heapq.heappush(self._booting, (active_at_ms, machine.machine_id))
         return machine
 
     def _rerank(self, machine):
@@ -270,7 +286,8 @@ class SimulationRun:
             self.ranked.insert(i, machine)
         self._rank_of[machine.machine_id] = key
 
-    def _place(self, entry, choice):
+    def _place(self, entry, choice, preds):
+        """Dispatch `entry` by `choice`; `preds` is its `_pred_placements`."""
         key = (entry.instance_id, entry.service_id)
         state = self.states[entry.instance_id]
         if entry.service_id in state.placed:
@@ -290,7 +307,7 @@ class SimulationRun:
 
         transfers_in = {}
         transfer_ms = 0.0
-        for pred, pred_machine, data_out_kb in self._pred_placements(entry):
+        for pred, pred_machine, data_out_kb in preds:
             if pred_machine.machine_id == machine.machine_id:
                 continue
             self.traffic_kb += data_out_kb

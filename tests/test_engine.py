@@ -196,10 +196,10 @@ def count_selections(monkeypatch):
     seen = []
     select = SimulationRun._select_machine
 
-    def counting(self, entry):
+    def counting(self, entry, preds):
         sdef = self.defs[entry.service_id]
         seen.append((sdef.memory_gb, sdef.cores))
-        return select(self, entry)
+        return select(self, entry, preds)
 
     monkeypatch.setattr(SimulationRun, "_select_machine", counting)
     return seen
@@ -233,10 +233,89 @@ def test_expired_entry_drops_even_when_its_demand_is_memoised(monkeypatch):
     for req in reqs:
         sim.now = req.arrival_time_ms
         sim._on_arrival(req)
-    # one selection per dispatch: request 0 fails it, the rest skip it
-    assert len(seen) == 3
+    # request 0 fails the demand; nothing frees capacity or finishes
+    # booting, so the later passes skip it
+    assert len(seen) == 1
     assert [sim.states[i].dropped for i in range(3)] == [False, True, False]
     assert sorted(e.instance_id for e in sim.ready) == [0, 2]
+
+
+def two_slot_run(chains, defs, catalog=None, **kw):
+    """An fws run on two nodes of one VM slot each."""
+    topo = TopologySpec(micro_count=1, core_count=1, micro_slots=1, core_slots=1)
+    sc = Scenario(policy="fws", chains=chains, request_count=3, topology_spec=topo,
+                  catalog=catalog or default_catalog())
+    return SimulationRun(sc, requests=[], service_defs=defs, **kw)
+
+
+def arrive(sim, request_id, chain_id, at_ms):
+    sim.now = at_ms
+    sim._on_arrival(UserRequest(request_id, chain_id, at_ms, 5000.0, 10.0))
+
+
+def finish(sim, request_id, service_id, at_ms):
+    machine = sim.machines[next(p.machine_id for p in sim.placements
+                                if (p.instance_id, p.service_id)
+                                == (request_id, service_id))]
+    sim.now = at_ms
+    sim._on_finish(request_id, service_id, machine)
+
+
+def test_release_that_fits_a_failed_demand_retries_it(monkeypatch):
+    # two 1-core machines fill both nodes; the third request waits
+    small = default_catalog()[0]
+    sim = two_slot_run([ServiceChain(1, {1}, set())],
+                       {1: MicroServiceDef(1, 50.0, 10.0, 1.0, 1)},
+                       initial_machines=[(0, small), (1, small)])
+    seen = count_selections(monkeypatch)
+    for rid in range(3):
+        arrive(sim, rid, 1, 0.0)
+    assert sim._failed == {(1.0, 1)} and len(seen) == 3
+    finish(sim, 0, 1, 50.0)
+    assert sim._failed == set() and len(seen) == 4
+    assert [(p.instance_id, p.machine_id) for p in sim.placements][-1] == (2, 0)
+    assert sim.ready == []
+
+
+def test_release_that_does_not_fit_keeps_the_demand_memoised(monkeypatch):
+    # chain 1 needs 1 GB, chain 2 needs 6 GB; the 6 GB demand fits only
+    # on the 8 GB machine, so a release on the 2 GB one changes nothing
+    small, large = default_catalog()[0], default_catalog()[2]
+    sim = two_slot_run([ServiceChain(1, {1}, set()), ServiceChain(2, {2}, set())],
+                       {1: MicroServiceDef(1, 50.0, 10.0, 1.0, 1),
+                        2: MicroServiceDef(2, 50.0, 10.0, 6.0, 1)},
+                       initial_machines=[(0, small), (1, large)])
+    seen = count_selections(monkeypatch)
+    arrive(sim, 0, 1, 0.0)
+    arrive(sim, 1, 2, 0.0)
+    arrive(sim, 2, 2, 1.0)
+    assert sim._failed == {(6.0, 1)} and len(seen) == 3
+    finish(sim, 0, 1, 50.0)
+    assert sim._failed == {(6.0, 1)} and len(seen) == 3
+    assert [e.instance_id for e in sim.ready] == [2]
+    finish(sim, 1, 2, 60.0)
+    assert len(seen) == 4 and sim.ready == []
+
+
+def test_machine_that_finishes_booting_retries_a_failed_demand(monkeypatch):
+    # each request provisions a 4-core machine that boots for 50 ms; with
+    # both slots taken, the third waits for a boot, not for a release
+    wide = VmType("wide", 4.0, 4, 56.25, 0.2)
+    sim = two_slot_run([ServiceChain(1, {1}, set())],
+                       {1: MicroServiceDef(1, 500.0, 10.0, 1.0, 1)},
+                       catalog=[wide])
+    seen = count_selections(monkeypatch)
+    for rid in range(3):
+        arrive(sim, rid, 1, 0.0)
+    assert len(sim.machines) == 2 and sim._failed == {(1.0, 1)}
+    assert len(seen) == 3
+    sim.now = 49.0
+    sim._dispatch()
+    assert len(seen) == 3 and [e.instance_id for e in sim.ready] == [2]
+    sim.now = 50.0
+    sim._dispatch()
+    assert len(seen) == 4 and sim.ready == []
+    assert sim.placements[-1].machine_id == 0 and sim._booting == []
 
 
 def test_placing_a_service_twice_is_rejected():
@@ -249,10 +328,11 @@ def test_placing_a_service_twice_is_rejected():
     assert [(p.instance_id, p.service_id) for p in sim.placements] == [(0, 1)]
     entry = LabeledService(instance_id=0, service_id=1, label=1, enqueue_time_ms=0.0,
                            exec_time_ms=50.0, dependents=0)
-    choice = sim._select_machine(entry)
+    preds = sim._pred_placements(entry)
+    choice = sim._select_machine(entry, preds)
     assert choice is not None
     with pytest.raises(AssertionError, match="placed twice"):
-        sim._place(entry, choice)
+        sim._place(entry, choice, preds)
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
