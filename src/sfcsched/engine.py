@@ -19,6 +19,7 @@ its line rate to those links, so concurrent transfers see each other's load.
 
 import bisect
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .chains import ready_services
@@ -56,9 +57,24 @@ class _RequestState:
     request: object
     unfinished_preds: dict     # service_id -> predecessors not yet finished
     remaining: int             # services not yet finished
+    drop_at: float             # the request expires at any now >= drop_at
     dropped: bool = False
     completed_ms: float = None
     placed: dict = field(default_factory=dict)  # service_id -> Machine
+
+
+def _drop_time(arrival_ms, sla_ms):
+    """The least float `now` with `now - arrival_ms > sla_ms`.
+
+    Float subtraction is monotone in `now`, so that test holds exactly from
+    this value on.  The rounded sum lies within a step or two of it.
+    """
+    t = arrival_ms + sla_ms
+    while not t - arrival_ms > sla_ms and t < math.inf:
+        t = math.nextafter(t, math.inf)
+    while (below := math.nextafter(t, -math.inf)) - arrival_ms > sla_ms:
+        t = below
+    return t
 
 
 class SimulationRun:
@@ -105,6 +121,8 @@ class SimulationRun:
         # (memory_gb, cores) demands that found no machine; see _dispatch
         self._failed = set()
         self._booting = []         # heap of (active_at_ms, machine_id)
+        # no pass before this time can change anything; see _dispatch
+        self._walk_at = math.inf
 
         if initial_machines:
             for node_id, vm_type in initial_machines:
@@ -149,7 +167,8 @@ class SimulationRun:
         chain = self.chains[request.chain_id]
         state = _RequestState(
             request, {n: len(chain.predecessors(n)) for n in chain.nodes},
-            len(chain.nodes))
+            len(chain.nodes),
+            _drop_time(request.arrival_time_ms, request.delay_sla_ms))
         self.states[request.request_id] = state
         self.arrived += 1
         for sid in chain.sources():
@@ -190,12 +209,17 @@ class SimulationRun:
             dependents = chain.transitive_dependents(service_id)
         else:
             dependents = chain.immediate_dependents(service_id)
+        sdef = self.defs[service_id]
+        if (sdef.memory_gb, sdef.cores) not in self._failed:
+            self._walk_at = -math.inf
+        elif state.drop_at < self._walk_at:
+            self._walk_at = state.drop_at
         bisect.insort(self.ready, LabeledService(
             instance_id=state.request.request_id,
             service_id=service_id,
             label=self.labels[chain.chain_id][service_id],
             enqueue_time_ms=self.now,
-            exec_time_ms=self.defs[service_id].exec_time_ms,
+            exec_time_ms=sdef.exec_time_ms,
             dependents=dependents,
         ), key=self._priority_key)
 
@@ -211,13 +235,23 @@ class SimulationRun:
         from `_booting` here).  Entries with a memoised demand skip selection
         and go straight to the SLA-drop check.  The entries neither placed
         nor dropped, still in order, form the next queue.
+
+        After a walked pass every waiting demand is memoised, so until an
+        unmemoised demand is enqueued or a demand is retried, a pass can
+        only drop.  It drops nothing while `now` is below the least
+        `drop_at` in the queue, because the drop test `now >= drop_at` is
+        the SLA test `now - arrival > sla` exactly.  `_walk_at` is that
+        least `drop_at`, or -inf after such an enqueue or retry; a pass
+        before it returns at once.
         """
         while self._booting and self._booting[0][0] <= self.now:
             self._unmemo(self.machines[heapq.heappop(self._booting)[1]])
-        if not self.ready:
+        if self.now < self._walk_at:
             return
+        now = self.now
         failed = self._failed
         waiting = []
+        next_drop = math.inf
         for entry in self.ready:
             state = self.states[entry.instance_id]
             if state.dropped:  # dropped earlier in this pass
@@ -231,15 +265,21 @@ class SimulationRun:
                     self._place(entry, choice, preds)
                     continue
                 failed.add(demand)
-            if self.now - state.request.arrival_time_ms > state.request.delay_sla_ms:
+            if now >= state.drop_at:
                 self._drop(state)
             else:
                 waiting.append(entry)
+                if state.drop_at < next_drop:
+                    next_drop = state.drop_at
         self.ready = waiting
+        self._walk_at = next_drop
 
     def _unmemo(self, machine):
         """Retry every failed demand that the active `machine` now fits."""
-        self._failed -= {d for d in self._failed if machine.fits(*d)}
+        fit = {d for d in self._failed if machine.fits(*d)}
+        if fit:
+            self._failed -= fit
+            self._walk_at = -math.inf
 
     def _select_machine(self, entry, preds):
         sdef = self.defs[entry.service_id]

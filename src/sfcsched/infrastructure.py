@@ -174,6 +174,13 @@ class Topology:
         self.packet_kb = packet_kb
         self._routes = _all_pairs_routes(
             tuple((n, tuple(self.adj[n])) for n in sorted(self.adj)))
+        self._open = sorted(self.nodes)
+
+    def open_node_ids(self):
+        """Ids of the nodes with a free VM slot, ascending.  Slots are never
+        freed, so a node found full leaves the kept list for good."""
+        self._open = [n for n in self._open if self.nodes[n].has_free_slot()]
+        return self._open
 
     def route(self, src, dst):
         route = self._routes.get((src, dst))  # None for unknown or disconnected nodes
@@ -225,7 +232,7 @@ def provision_choice(demand_memory_gb, demand_cores, near_nodes, topology, catal
     cheapest covering type, on the free-slot node with the least summed path
     delay from `near_nodes`, ties to the lowest node id.  None when every
     node is full or no catalog type covers the demand."""
-    open_ids = [n for n, node in topology.nodes.items() if node.has_free_slot()]
+    open_ids = topology.open_node_ids()
     if not open_ids:
         return None
     vm_type = nearest_vm_type(demand_memory_gb, demand_cores, catalog)

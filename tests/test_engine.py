@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfcsched import engine
@@ -316,6 +317,66 @@ def test_machine_that_finishes_booting_retries_a_failed_demand(monkeypatch):
     sim._dispatch()
     assert len(seen) == 4 and sim.ready == []
     assert sim.placements[-1].machine_id == 0 and sim._booting == []
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(arrival=st.one_of(st.integers(0, 10**6).map(float),
+                         st.floats(min_value=0.0, **FINITE)),
+       sla=st.one_of(st.integers(1, 10**6).map(float),
+                     st.floats(min_value=0.0, exclude_min=True, **FINITE)))
+@example(arrival=0.0, sla=5e-324)
+@example(arrival=0.1, sla=0.2)
+@example(arrival=1e16, sla=0.5)
+@example(arrival=1.7976931348623157e308, sla=1.7976931348623157e308)
+def test_drop_time_is_the_least_expired_now(arrival, sla):
+    drop_at = engine._drop_time(arrival, sla)
+    assert drop_at - arrival > sla
+    assert not math.nextafter(drop_at, -math.inf) - arrival > sla
+
+
+class NoLookups(dict):
+    def __getitem__(self, key):
+        raise AssertionError(f"the pass looked up request {key}")
+
+
+def full_two_slot_run():
+    """Both VM slots hold a 1-core machine, so 1-core demands queue."""
+    small = default_catalog()[0]
+    return two_slot_run([ServiceChain(1, {1}, set())],
+                        {1: MicroServiceDef(1, 50.0, 10.0, 1.0, 1)},
+                        initial_machines=[(0, small), (1, small)])
+
+
+def test_pass_that_can_change_nothing_reads_no_request():
+    sim = full_two_slot_run()
+    for rid in range(6):
+        arrive(sim, rid, 1, 0.0)
+    queue = sim.ready
+    assert [e.instance_id for e in queue] == [2, 3, 4, 5]
+    assert sim._failed == {(1.0, 1)}
+    sim.now = 1.0  # no release, no boot, below every drop time
+    states, sim.states = sim.states, NoLookups()
+    sim._dispatch()
+    sim.states = states
+    assert sim.ready is queue and sim.dropped == 0
+
+
+def test_entry_drops_exactly_at_its_drop_time():
+    sim = full_two_slot_run()
+    arrive(sim, 0, 1, 0.0)
+    arrive(sim, 1, 1, 0.0)
+    sim.now = 0.1
+    sim._on_arrival(UserRequest(2, 1, 0.1, 0.2, 10.0))
+    drop_at = sim.states[2].drop_at
+    sim.now = math.nextafter(drop_at, -math.inf)
+    sim._dispatch()
+    assert [e.instance_id for e in sim.ready] == [2] and sim.dropped == 0
+    sim.now = drop_at
+    sim._dispatch()
+    assert sim.ready == [] and sim.states[2].dropped and sim.dropped == 1
 
 
 def test_placing_a_service_twice_is_rejected():

@@ -8,11 +8,13 @@ first-fit walk.  Every fast path of the engine must leave the schedule
 and the drop count as these rules make them.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcsched.chains import canonical_sfcs
-from sfcsched.engine import SimulationRun
+from sfcsched.chains import MicroServiceDef, UserRequest, canonical_sfcs
+from sfcsched.engine import SimulationRun, _drop_time
 from sfcsched.fws import WeightParams, compute_weight
 from sfcsched.infrastructure import VmType
 from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
@@ -106,3 +108,56 @@ def test_engine_matches_reference(policy, seed, micro_count, micro_slots,
     machines = [(micro_count, vm) for vm in initial[:core_slots]]
     assert schedule(SimulationRun(sc, initial_machines=machines)) == \
         schedule(Reference(sc, initial_machines=machines))
+
+
+@st.composite
+def whole_ms_requests(draw, chain_ids):
+    """Requests with whole-millisecond arrivals and SLAs, so that starts and
+    finishes can land on `arrival + sla`; some arrive exactly at an earlier
+    request's drop time, or one float below it."""
+    rows = []
+    for _ in range(draw(st.integers(1, 25))):
+        at = float(draw(st.integers(0, 80)))
+        if rows and draw(st.booleans()):
+            earlier_at, earlier_sla, _ = draw(st.sampled_from(rows))
+            at = _drop_time(earlier_at, earlier_sla)
+            if draw(st.booleans()):
+                at = math.nextafter(at, -math.inf)
+        rows.append((at, float(draw(st.integers(1, 60))),
+                     draw(st.sampled_from(chain_ids))))
+    rows.sort(key=lambda row: row[0])
+    return [UserRequest(k, chain_id, at, sla, 10.0)
+            for k, (at, sla, chain_id) in enumerate(rows)]
+
+
+@st.composite
+def whole_ms_service_defs(draw, chains):
+    """Whole-millisecond execution times; 25 kB at 25 MB/s is 1 ms."""
+    return {sid: MicroServiceDef(sid, float(draw(st.integers(1, 30))), 25.0,
+                                 draw(st.sampled_from((0.5, 1.0, 2.0, 3.5))),
+                                 draw(st.sampled_from((1, 1, 2))))
+            for chain in chains for sid in sorted(chain.nodes)}
+
+
+@st.composite
+def whole_ms_runs(draw):
+    chains = draw(st.one_of(st.just(canonical_sfcs()), random_chains()))
+    requests = draw(whole_ms_requests([c.chain_id for c in chains]))
+    sc = Scenario(policy=draw(st.sampled_from(POLICY_NAMES)),
+                  topology_spec=TopologySpec(
+                      micro_count=draw(st.integers(1, 3)), core_count=1,
+                      micro_slots=draw(st.integers(1, 2)),
+                      core_slots=draw(st.integers(1, 2))),
+                  catalog=draw(st.sampled_from(CATALOGS)), chains=chains,
+                  request_count=len(requests),
+                  provision_latency_ms=draw(st.sampled_from((0.0, 5.0, 20.0))),
+                  resume_latency_ms=draw(st.sampled_from((0.0, 5.0))))
+    return sc, requests, draw(whole_ms_service_defs(chains))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(run=whole_ms_runs())
+def test_engine_matches_reference_on_exact_drop_times(run):
+    sc, requests, defs = run
+    assert schedule(SimulationRun(sc, requests=requests, service_defs=defs)) == \
+        schedule(Reference(sc, requests=requests, service_defs=defs))
