@@ -8,10 +8,9 @@ network.
 
 import heapq
 import operator
-import sys
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NONNEGATIVE, ValidationError, check_fields, checked
 from .infrastructure import provision_choice
 
 TRANSITIVE = "transitive"
@@ -22,22 +21,16 @@ IMMEDIATE = "immediate"
 class WeightParams:
     """Coefficients of the fairness weight: dependents and milliseconds waited."""
 
-    alpha_dep: float = 1.0
-    beta_wait: float = 0.01
-    dependents: str = TRANSITIVE
+    alpha_dep: float = checked(NONNEGATIVE, 1.0)
+    beta_wait: float = checked(NONNEGATIVE, 0.01)
+    dependents: str = checked((lambda v: v in (TRANSITIVE, IMMEDIATE),
+                               f"must be {TRANSITIVE!r} or {IMMEDIATE!r}"), TRANSITIVE)
 
     def __post_init__(self):
-        for name in ("alpha_dep", "beta_wait"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0 <= value <= sys.float_info.max:
-                raise ValidationError(f"fws.{name}", "must be a nonnegative number")
+        check_fields(self, "fws")
         if self.alpha_dep == 0 and self.beta_wait == 0:
             raise ValidationError("fws",
                                   "at least one weight coefficient must be positive")
-        if self.dependents not in (TRANSITIVE, IMMEDIATE):
-            raise ValidationError("fws.dependents",
-                                  f"must be {TRANSITIVE!r} or {IMMEDIATE!r}")
 
 
 @dataclass

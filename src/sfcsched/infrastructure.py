@@ -8,7 +8,8 @@ in flight; delays are evaluated on demand from that combined load.
 import functools
 from dataclasses import dataclass, field
 
-from .errors import NodeFull, NonPositiveRate, NoPath, NotBuffered, UnstableQueue
+from .errors import (NONNEGATIVE, POSITIVE, NodeFull, NonPositiveRate, NoPath,
+                     NotBuffered, UnstableQueue, checked, int_in)
 
 MICRO = "micro"
 CORE = "core"
@@ -27,11 +28,11 @@ DEFAULT_PACKET_KB = 8.0
 
 @dataclass(frozen=True)
 class VmType:
-    name: str
-    memory_gb: float
-    cores: int
-    max_bandwidth_mbps: float  # MB/s
-    hourly_cost: float
+    name: str = checked((lambda v: isinstance(v, str), "must be a string"))
+    memory_gb: float = checked(POSITIVE)
+    cores: int = checked(int_in(1))
+    max_bandwidth_mbps: float = checked(POSITIVE)  # MB/s
+    hourly_cost: float = checked(NONNEGATIVE)
 
 
 def default_catalog():

@@ -3,23 +3,23 @@
 Scenario files are JSON with sections ``topology``, ``catalog``, ``chains``,
 ``workload``, ``fws`` and ``sweep``.  Every field has a documented default;
 unknown keys are rejected with their dotted path.  The dataclasses define the
-format: each section's keys are the fields of the class it builds.
+format: each section's keys are the checked fields of the class it builds, and
+each field's rule sits in its metadata (see ``errors.check_fields``).
 """
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .chains import ServiceChain
 from .engine import run
-from .errors import CycleDetected, DanglingEdge, IoError, ParseError, ValidationError
+from .errors import (POSITIVE, CycleDetected, DanglingEdge, IoError, ParseError,
+                     ValidationError, check_fields, checked, int_in, is_int,
+                     is_number, list_of, section_keys)
 from .fws import WeightParams
 from .infrastructure import VmType
 from .metrics import METRIC_NAMES
-from .scenario import (MAX_REQUEST_COUNT, POLICY_NAMES, Scenario, TopologySpec,
-                       _is_int, _is_list, _is_number, _require)
+from .scenario import MAX_REQUEST_COUNT, POLICY_NAMES, Scenario, TopologySpec
 
-DEFAULT_DEMAND_POINTS = (100, 500, 1000, 2000, 3000, 4000, 5000)
-DEFAULT_LOAD_POINTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # Demand sweeps hold the arrival window fixed so the offered rate scales
 # with the demand count.
 DEFAULT_DEMAND_WINDOW_S = 30.0
@@ -30,41 +30,22 @@ MAX_REPETITIONS = 10_000
 
 @dataclass
 class SweepSpec:
-    demand_points: tuple = DEFAULT_DEMAND_POINTS
-    load_points: tuple = DEFAULT_LOAD_POINTS
-    policies: tuple = POLICY_NAMES
-    repetitions: int = 5
-    demand_window_s: float = DEFAULT_DEMAND_WINDOW_S
-    load_demand_count: int = 3000
+    demand_points: tuple = checked(
+        list_of(lambda p: is_int(p) and 0 <= p <= MAX_REQUEST_COUNT,
+                f"integers in [0, {MAX_REQUEST_COUNT}]", increasing=True),
+        (100, 500, 1000, 2000, 3000, 4000, 5000))
+    load_points: tuple = checked(
+        list_of(lambda p: is_number(p) and 0 <= p < 1, "numbers in [0, 1)",
+                increasing=True), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
+    policies: tuple = checked(list_of(lambda p: p in POLICY_NAMES,
+                                      f"policies from {', '.join(POLICY_NAMES)}"),
+                              POLICY_NAMES)
+    repetitions: int = checked(int_in(1, MAX_REPETITIONS), 5)
+    demand_window_s: float = checked(POSITIVE, DEFAULT_DEMAND_WINDOW_S)
+    load_demand_count: int = checked(int_in(1, MAX_REQUEST_COUNT), 3000)
 
     def validate(self):
-        _require(_is_list(self.demand_points) and all(
-            _is_int(p) and 0 <= p <= MAX_REQUEST_COUNT for p in self.demand_points),
-            "sweep.demand_points", f"must list integers in [0, {MAX_REQUEST_COUNT}]")
-        if not self.demand_points or \
-                any(b <= a for a, b in zip(self.demand_points, self.demand_points[1:])):
-            raise ValidationError("sweep.demand_points", "must be strictly increasing")
-        _require(_is_list(self.load_points)
-                 and all(_is_number(p) for p in self.load_points),
-                 "sweep.load_points", "must list numbers")
-        if not self.load_points or \
-                any(b <= a for a, b in zip(self.load_points, self.load_points[1:])):
-            raise ValidationError("sweep.load_points", "must be strictly increasing")
-        if any(not 0 <= p < 1 for p in self.load_points):
-            raise ValidationError("sweep.load_points", "must lie in [0, 1)")
-        _require(_is_list(self.policies) and len(self.policies) > 0,
-                 "sweep.policies", "must list at least one policy")
-        unknown = [p for p in self.policies if p not in POLICY_NAMES]
-        if unknown:
-            raise ValidationError("sweep.policies", f"unknown policy {unknown[0]!r}")
-        _require(_is_int(self.repetitions) and 1 <= self.repetitions <= MAX_REPETITIONS,
-                 "sweep.repetitions", f"must be an integer in [1, {MAX_REPETITIONS}]")
-        _require(_is_number(self.demand_window_s) and self.demand_window_s > 0,
-                 "sweep.demand_window_s", "must be a positive number")
-        _require(_is_int(self.load_demand_count)
-                 and 1 <= self.load_demand_count <= MAX_REQUEST_COUNT,
-                 "sweep.load_demand_count",
-                 f"must be an integer in [1, {MAX_REQUEST_COUNT}]")
+        check_fields(self, "sweep")
         return self
 
 
@@ -81,24 +62,27 @@ class ResultRow:
 def _section(body, path, keys):
     """A section as keyword arguments: an object with known keys only, its
     lists turned into tuples."""
-    _require(isinstance(body, dict), path, "must be an object")
+    if not isinstance(body, dict):
+        raise ValidationError(path, "must be an object")
     for key in body:
-        _require(key in keys, f"{path}.{key}", "unknown key")
+        if key not in keys:
+            raise ValidationError(f"{path}.{key}", "unknown key")
     return {k: (tuple(v) if isinstance(v, list) else v) for k, v in body.items()}
 
 
-def _field_names(cls, exclude=()):
-    return tuple(f.name for f in fields(cls) if f.name not in exclude)
+def _entries(raw, name, keys):
+    """Each entry of a list section with its path, as keyword arguments."""
+    if not isinstance(raw[name], list) or not raw[name]:
+        raise ValidationError(name, "must be a nonempty list")
+    for idx, entry in enumerate(raw[name]):
+        yield f"{name}[{idx}]", _section(entry, f"{name}[{idx}]", keys)
 
 
-_TOPOLOGY_KEYS = _field_names(TopologySpec)
-# the other Scenario fields come from the topology, catalog, chains and fws
-# sections
-_WORKLOAD_KEYS = _field_names(Scenario, exclude=(
-    "resume_latency_ms", "weights", "topology_spec", "catalog", "chains"))
-_FWS_KEYS = _field_names(WeightParams) + ("resume_latency_ms",)
-_SWEEP_KEYS = _field_names(SweepSpec)
-_CATALOG_KEYS = _field_names(VmType)
+_TOPOLOGY_KEYS = section_keys(TopologySpec)
+_WORKLOAD_KEYS = section_keys(Scenario)
+_FWS_KEYS = section_keys(WeightParams) + section_keys(Scenario, "fws")
+_SWEEP_KEYS = section_keys(SweepSpec)
+_CATALOG_KEYS = section_keys(VmType)
 _CHAIN_KEYS = ("chain_id", "nodes", "edges")
 
 
@@ -131,38 +115,31 @@ def scenario_from_dict(raw) -> Scenario:
     kw = {"topology_spec": TopologySpec(
         **_section(raw.get("topology", {}), "topology", _TOPOLOGY_KEYS))}
 
-    catalog_raw = raw.get("catalog")
     if "catalog" in raw:  # null too: it fails the list check
-        if not isinstance(catalog_raw, list) or not catalog_raw:
-            raise ValidationError("catalog", "must be a nonempty list")
         kw["catalog"] = []
-        for idx, entry in enumerate(catalog_raw):
-            path = f"catalog[{idx}]"
-            entry = _section(entry, path, _CATALOG_KEYS)
+        for path, entry in _entries(raw, "catalog", _CATALOG_KEYS):
             try:
                 kw["catalog"].append(VmType(**entry))
             except TypeError as exc:  # a missing key: VmType has no defaults
                 raise ValidationError(path, str(exc)) from exc
 
-    chains_raw = raw.get("chains")
     if "chains" in raw:  # null too: it fails the list check
-        if not isinstance(chains_raw, list) or not chains_raw:
-            raise ValidationError("chains", "must be a nonempty list")
         kw["chains"] = []
-        for idx, entry in enumerate(chains_raw):
-            path = f"chains[{idx}]"
-            entry = _section(entry, path, _CHAIN_KEYS)
+        for path, entry in _entries(raw, "chains", _CHAIN_KEYS):
             for key in ("chain_id", "nodes"):
-                _require(key in entry, path, f"missing {key!r}")
+                if key not in entry:
+                    raise ValidationError(path, f"missing {key!r}")
             nodes, edges = entry["nodes"], entry.get("edges", ())
-            _require(_is_int(entry["chain_id"]), f"{path}.chain_id",
-                     "must be an integer")
-            _require(_is_list(nodes) and nodes and all(_is_int(n) for n in nodes),
-                     f"{path}.nodes", "must list integer service ids")
-            _require(_is_list(edges)
-                     and all(_is_list(e) and len(e) == 2
-                             and all(_is_int(n) for n in e) for e in edges),
-                     f"{path}.edges", "must list [from, to] service id pairs")
+            if not is_int(entry["chain_id"]):
+                raise ValidationError(f"{path}.chain_id", "must be an integer")
+            # _section made the section's lists tuples; an edge is still a list
+            if not (isinstance(nodes, tuple) and nodes and all(map(is_int, nodes))):
+                raise ValidationError(f"{path}.nodes", "must list integer service ids")
+            if not (isinstance(edges, tuple) and all(
+                    isinstance(e, list) and len(e) == 2 and all(map(is_int, e))
+                    for e in edges)):
+                raise ValidationError(f"{path}.edges",
+                                      "must list [from, to] service id pairs")
             try:
                 kw["chains"].append(ServiceChain(entry["chain_id"], set(nodes),
                                                  {tuple(e) for e in edges}))
@@ -171,8 +148,9 @@ def scenario_from_dict(raw) -> Scenario:
 
     kw.update(_section(raw.get("workload", {}), "workload", _WORKLOAD_KEYS))
     weights = _section(raw.get("fws", {}), "fws", _FWS_KEYS)
-    if "resume_latency_ms" in weights:
-        kw["resume_latency_ms"] = weights.pop("resume_latency_ms")
+    for key in section_keys(Scenario, "fws"):  # resume_latency_ms
+        if key in weights:
+            kw[key] = weights.pop(key)
     if weights:
         kw["weights"] = WeightParams(**weights)
     return Scenario(**kw).validate()

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,10 @@ def test_cli_run_writes_csv(tmp_path, capsys):
     assert len(rows) == 4
 
 
+GOOD_VM = {"name": "a", "memory_gb": 2.0, "cores": 1,
+           "max_bandwidth_mbps": 25.0, "hourly_cost": 0.05}
+
+
 def test_cli_validate_exit_codes(tmp_path, capsys):
     good = write_scenario(tmp_path, {"workload": {"request_count": 1}})
     assert cli_main(["validate", "--scenario", good]) == 0
@@ -224,8 +229,6 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     ]
     cases = [({"topology": topology}, field, ("validate", "run"))
              for topology, field in bad_topologies]
-    good_vm = {"name": "a", "memory_gb": 2.0, "cores": 1,
-               "max_bandwidth_mbps": 25.0, "hourly_cost": 0.05}
     cases += [({"workload": workload}, field, ("validate", "run"))
               for workload, field in [
                   ({"request_count": "abc"}, "workload.request_count"),
@@ -239,7 +242,11 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"capacity_range_rps": [20, 100]},
                    "workload.capacity_range_rps"),
                   ({"request_count": 10**30}, "workload.request_count"),
-                  ({"request_count": 10_000_001}, "workload.request_count")]]
+                  ({"request_count": 10_000_001}, "workload.request_count"),
+                  # horizons too long for the float clock to resolve an exec time
+                  ({"arrival_rate_rps": 2.8e-70, "request_count": 5},
+                   "workload.arrival_rate_rps"),
+                  ({"arrival_window_s": 1e308}, "workload.arrival_window_s")]]
     cases += [({"chains": [chain]}, field, ("validate", "run"))
               for chain, field in [
                   ({"chain_id": 1, "nodes": 5}, "chains[0].nodes"),
@@ -247,7 +254,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"chain_id": 1, "nodes": [1, 2], "edges": [[1, 2], [2, 1]]},
                    "chains[0].edges"),
                   (5, "chains[0]")]]
-    cases += [({"catalog": [dict(good_vm, **vm)]}, field, ("validate", "run"))
+    cases += [({"catalog": [dict(GOOD_VM, **vm)]}, field, ("validate", "run"))
               for vm, field in [
                   ({"memory_gb": 0}, "catalog[0].memory_gb"),
                   ({"cores": 0}, "catalog[0].cores"),
@@ -280,6 +287,63 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
             assert cli_main([command, "--scenario", path]) == 2, (payload, command)
             err = capsys.readouterr().err
             assert field in err and "Traceback" not in err, (payload, command)
+
+
+GOOD_CHAIN = {"chain_id": 1, "nodes": [1, 2], "edges": [[1, 2]]}
+KEY_TABLES = {"topology": _TOPOLOGY_KEYS, "workload": _WORKLOAD_KEYS,
+              "fws": _FWS_KEYS, "sweep": _SWEEP_KEYS, "catalog": _CATALOG_KEYS,
+              "chains": _CHAIN_KEYS}
+# One rejected value for every key of every section.  A key added to a
+# section without an entry here fails its test below.
+REJECTED = {
+    "topology": {"micro_count": 0, "core_count": "abc", "micro_slots": 0,
+                 "core_slots": 1.5, "micro_link_mu_pps": 5e-324,
+                 "core_link_mu_pps": -5.0, "rho_max": 1.0, "packet_kb": 0},
+    "workload": {"request_count": -1, "arrival_rate_rps": None,
+                 "arrival_window_s": 0, "sla_delay_range_ms": 7,
+                 "sla_cost_range": [2, 1], "background_load_fraction": 1.0,
+                 "rng_seed": "x", "policy": "bogus", "exec_time_range_ms": [0, 1],
+                 "data_out_range_kb": [1], "service_memory_range_gb": "a",
+                 "service_cores_choices": [0], "provision_latency_ms": -1},
+    "fws": {"alpha_dep": -1, "beta_wait": "x", "dependents": 3,
+            "resume_latency_ms": None},
+    "sweep": {"demand_points": [2, 1], "load_points": [0.5, 1.0],
+              "policies": ["fws", "random"], "repetitions": 0,
+              "demand_window_s": 0, "load_demand_count": 0},
+    "catalog": {"name": 5, "memory_gb": 0, "cores": 0, "max_bandwidth_mbps": 0,
+                "hourly_cost": -1},
+    "chains": {"chain_id": "x", "nodes": 5, "edges": [[1]]},
+}
+
+
+@pytest.mark.parametrize("section,key", [(section, key)
+                                         for section, keys in KEY_TABLES.items()
+                                         for key in keys])
+def test_every_key_rejects_a_bad_value_at_its_path(tmp_path, capsys, section, key):
+    assert key in REJECTED[section], f"no rejected value for {section}.{key}"
+    value = REJECTED[section][key]
+    if section in ("catalog", "chains"):
+        good = GOOD_VM if section == "catalog" else GOOD_CHAIN
+        payload, path = {section: [dict(good, **{key: value})]}, f"{section}[0].{key}"
+    else:
+        payload, path = {section: {key: value}}, f"{section}.{key}"
+    scenario = write_scenario(tmp_path, payload)
+    for command in ("validate", "run"):
+        assert cli_main([command, "--scenario", scenario]) == 2, command
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err, (command, err)
+
+
+def test_readme_example_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```json\n", readme.index("## Scenario files")) + 8
+    raw = json.loads(readme[start:readme.index("```", start)])
+    scenario_from_dict(raw)
+    sweep_from_dict(raw)
+    assert set(raw) == set(KEY_TABLES)
+    for name, keys in KEY_TABLES.items():
+        for body in (raw[name] if name in ("catalog", "chains") else [raw[name]]):
+            assert sorted(body) == sorted(keys), name
 
 
 def test_cli_empty_scenario_path_is_unreadable(capsys):

@@ -3,7 +3,8 @@ import statistics
 import pytest
 
 from sfcsched.errors import ValidationError
-from sfcsched.scenario import Scenario, generate_workload, sample_service_defs
+from sfcsched.scenario import (MAX_REQUEST_COUNT, Scenario, generate_workload,
+                               sample_service_defs)
 
 
 def test_empty_workload():
@@ -68,3 +69,17 @@ def test_service_defs_within_ranges_and_stable():
 def test_scenario_validation_rejects(field, value):
     with pytest.raises(ValidationError):
         Scenario(**{field: value}).validate()
+
+
+def test_clock_rule_keeps_every_resolvable_horizon():
+    # the largest horizons the benchmark, the acceptance suite and the count
+    # bound give, and a window with no requests
+    for sc in (Scenario(request_count=5000, arrival_window_s=30.0),
+               Scenario(request_count=MAX_REQUEST_COUNT),
+               Scenario(request_count=0, arrival_window_s=30.0),
+               Scenario(request_count=0)):
+        sc.validate()
+    with pytest.raises(ValidationError, match="workload.arrival_window_s"):
+        Scenario(arrival_window_s=30.0, exec_time_range_ms=(1e-9, 1.0)).validate()
+    with pytest.raises(ValidationError, match="workload.arrival_rate_rps"):
+        Scenario(arrival_rate_rps=1e-300).validate()  # the horizon overflows
