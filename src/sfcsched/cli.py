@@ -53,7 +53,7 @@ def main(argv=None) -> int:
         raw = read_scenario_file(args.scenario) if args.scenario is not None else {}
         scenario = scenario_from_dict(raw)
         # every command checks the whole file, the sweep section included
-        sweep = sweep_from_dict(raw)
+        sweep = sweep_from_dict(raw, scenario)
         if args.command == "validate":
             print(f"{args.scenario}: ok")
             return 0

@@ -139,9 +139,10 @@ class SimulationRun:
     def execute(self):
         while self._events:
             time_ms, kind, _, payload = heapq.heappop(self._events)
-            if time_ms < self.now - 1e-6:
+            # every event is pushed at `now` plus a nonnegative delay
+            if time_ms < self.now:
                 raise AssertionError("event dequeued out of time order")
-            self.now = max(self.now, time_ms)
+            self.now = time_ms
             if kind == EVENT_ARRIVAL:
                 self._on_arrival(payload)
             elif kind == EVENT_FINISH:

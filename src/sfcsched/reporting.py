@@ -44,8 +44,11 @@ class SweepSpec:
     demand_window_s: float = checked(POSITIVE, DEFAULT_DEMAND_WINDOW_S)
     load_demand_count: int = checked(int_in(1, MAX_REQUEST_COUNT), 3000)
 
-    def validate(self):
+    def validate(self, scenario):
+        """Check each field, and that the clock resolves every sweep point of
+        ``scenario``: each runs over the window, which alone sets its horizon."""
         check_fields(self, "sweep")
+        scenario.check_horizon(1000.0 * self.demand_window_s, "sweep.demand_window_s")
         return self
 
 
@@ -157,11 +160,14 @@ def scenario_from_dict(raw) -> Scenario:
 
 
 def parse_sweep(path) -> SweepSpec:
-    return sweep_from_dict(read_scenario_file(path))
+    raw = read_scenario_file(path)
+    return sweep_from_dict(raw, scenario_from_dict(raw))
 
 
-def sweep_from_dict(raw) -> SweepSpec:
-    return SweepSpec(**_section(raw.get("sweep", {}), "sweep", _SWEEP_KEYS)).validate()
+def sweep_from_dict(raw, scenario) -> SweepSpec:
+    """The file's sweep section, checked for the scenario it sweeps."""
+    return SweepSpec(**_section(raw.get("sweep", {}), "sweep",
+                                _SWEEP_KEYS)).validate(scenario)
 
 
 def run_sweep(scenario: Scenario, sweep: SweepSpec, var="demand") -> list:
@@ -169,7 +175,7 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, var="demand") -> list:
 
     Repetition k runs with seed ``rng_seed + k`` so means are reproducible.
     """
-    sweep.validate()
+    sweep.validate(scenario)
     if var == "demand":
         points = sweep.demand_points
     elif var == "load":

@@ -123,15 +123,20 @@ class Scenario:
             raise ValidationError("chains", "duplicate chain_id")
         # the expected horizon; a window alone sets it, even with no requests
         if self.arrival_window_s is not None:
-            horizon_ms, path = 1000.0 * self.arrival_window_s, "arrival_window_s"
+            self.check_horizon(1000.0 * self.arrival_window_s,
+                               "workload.arrival_window_s")
         else:
-            horizon_ms = 1000.0 * self.request_count / self.arrival_rate_rps
-            path = "arrival_rate_rps"
+            self.check_horizon(1000.0 * self.request_count / self.arrival_rate_rps,
+                               "workload.arrival_rate_rps")
+        return self
+
+    def check_horizon(self, horizon_ms, path):
+        """Reject an expected horizon too long for the clock to resolve the
+        shortest exec time, at ``path``, the field that sets it."""
         if math.ulp(horizon_ms) > CLOCK_RESOLUTION * self.exec_time_range_ms[0]:
             raise ValidationError(
-                f"workload.{path}", f"gives an expected horizon of {horizon_ms} ms, "
+                path, f"gives an expected horizon of {horizon_ms} ms, "
                 "too long for the clock to resolve the shortest exec time")
-        return self
 
 
 def sample_service_defs(scenario: Scenario) -> dict:

@@ -1,9 +1,9 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Each test prints one `criterion NN: PASS/FAIL` line.  Comparison criteria
-run the default scenario through the demand-sweep window (fixed arrival
-window, so the offered rate scales with the demand count) and average over
-fixed seed sets.  Heavy run tables are computed once per session and shared.
+run `run_sweep` on the default scenario over subsets of the default sweep
+grid (`SweepSpec()`), so a default `sfcsched sweep` reproduces what they
+check.  Heavy run tables are computed once per session and shared.
 """
 
 import math
@@ -17,17 +17,10 @@ from sfcsched.fws import assign_labels
 from sfcsched.infrastructure import (CloudNode, Link, Topology, default_catalog,
                                      link_delay)
 from sfcsched.metrics import validate_run
-from sfcsched.reporting import (DEFAULT_DEMAND_WINDOW_S, SweepSpec,
-                                render_results, run_sweep)
+from sfcsched.reporting import SweepSpec, render_results, run_sweep
 from sfcsched.scenario import POLICY_NAMES, Scenario
 
-SEEDS = (42, 43, 44, 45, 46)
-WINDOW_S = DEFAULT_DEMAND_WINDOW_S
 BASELINES = ("lfff", "mfff", "lfdt", "mfdt")
-DEMAND_POINTS = (100, 500, 1000, 2000, 3000, 4000, 5000)
-LOAD_POINTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-LOAD_SEEDS = tuple(range(42, 50))
-LOAD_DEMAND = 3000
 # sampling slack for the monotonicity check of criterion 7: the model's mean
 # turnaround is exactly nondecreasing in background load, but finite seed
 # averages of a ~250 ms metric wobble by a few hundredths of a millisecond
@@ -40,41 +33,20 @@ def _verdict(num, ok, detail):
     return ok
 
 
-def _mean(xs):
-    xs = list(xs)
-    return sum(xs) / len(xs)
-
-
-def _demand_scenario(policy, count, seed):
-    return Scenario(policy=policy, request_count=count,
-                    arrival_window_s=WINDOW_S, rng_seed=seed)
-
-
-def _run(policy, count, seed, load=None):
-    sc = _demand_scenario(policy, count, seed)
-    if load is not None:
-        sc = sc.with_overrides(background_load_fraction=load)
-    return SimulationRun(sc).execute()
+def _means(var, **spec):
+    """{(policy, point): {metric: mean}} from `run_sweep` on the default
+    scenario, over the default sweep grid with `spec`'s fields replaced."""
+    table = {}
+    for row in run_sweep(Scenario(), SweepSpec(**spec), var=var):
+        table.setdefault((row.policy, row.sweep_value), {})[row.metric] = row.mean
+    return table
 
 
 @pytest.fixture(scope="session")
 def demand_table():
-    """mean metrics per (policy, demand count) over the acceptance seeds"""
-    table = {}
-    for policy in POLICY_NAMES:
-        for count in (1000, 3000, 4000, 5000):
-            reports = [_run(policy, count, seed) for seed in SEEDS]
-            table[(policy, count)] = {
-                m: _mean(r.metric(m) for r in reports)
-                for m in ("traffic_kb", "turnaround_ms", "satisfied_pct",
-                          "cost_per_hour")}
-    for count in (100, 500, 2000):
-        reports = [_run("fws", count, seed) for seed in SEEDS]
-        table[("fws", count)] = {
-            m: _mean(r.metric(m) for r in reports)
-            for m in ("traffic_kb", "turnaround_ms", "satisfied_pct",
-                      "cost_per_hour")}
-    return table
+    """every policy at four demand points, fws alone at the other three"""
+    return {**_means("demand", demand_points=(1000, 3000, 4000, 5000)),
+            **_means("demand", demand_points=(100, 500, 2000), policies=("fws",))}
 
 
 def test_criterion_01_link_delay_matches_alternate_form():
@@ -158,7 +130,7 @@ def test_criterion_05_turnaround_dominance_at_4000(demand_table):
 
 def test_criterion_06_satisfaction_across_sweep(demand_table):
     fws_by_point = {n: demand_table[("fws", n)]["satisfied_pct"]
-                    for n in DEMAND_POINTS}
+                    for n in SweepSpec().demand_points}
     floor_ok = all(v >= 90.0 for v in fws_by_point.values())
     at_top = {p: demand_table[(p, 5000)]["satisfied_pct"] for p in BASELINES}
     top_ok = all(fws_by_point[5000] > v for v in at_top.values())
@@ -170,19 +142,14 @@ def test_criterion_06_satisfaction_across_sweep(demand_table):
 
 
 def test_criterion_07_load_sweep_shape():
-    fws_means = []
-    for load in LOAD_POINTS:
-        fws_means.append(_mean(
-            _run("fws", LOAD_DEMAND, seed, load=load).avg_turnaround_ms
-            for seed in LOAD_SEEDS))
+    fws = _means("load", policies=("fws",), repetitions=8)
+    fws_means = [fws[("fws", load)]["turnaround_ms"]
+                 for load in SweepSpec().load_points]
     deltas = [b - a for a, b in zip(fws_means, fws_means[1:])]
     monotone = all(d >= -MONOTONE_SLACK_MS for d in deltas)
     rising = fws_means[-1] > fws_means[0]
-    base_at_peak = {}
-    for p in BASELINES:
-        base_at_peak[p] = _mean(
-            _run(p, LOAD_DEMAND, seed, load=0.9).avg_turnaround_ms
-            for seed in LOAD_SEEDS)
+    peak = _means("load", policies=BASELINES, load_points=(0.9,), repetitions=8)
+    base_at_peak = {p: peak[(p, 0.9)]["turnaround_ms"] for p in BASELINES}
     below = all(fws_means[-1] < v for v in base_at_peak.values())
     min_ratio = min(v / fws_means[-1] for v in base_at_peak.values())
     ok = monotone and rising and below and min_ratio >= 1.3

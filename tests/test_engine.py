@@ -155,6 +155,16 @@ def test_clock_too_large_to_resolve_hold_spans_still_reports():
     validate_run(sim)
 
 
+def test_event_before_now_is_rejected():
+    # every event is pushed at `now` plus a nonnegative delay, so one that
+    # falls before `now`, however slightly, is a bug and not rounding
+    sim = SimulationRun(Scenario(request_count=0))
+    sim.now = 100.0
+    sim._push(100.0 - 1e-7, engine.EVENT_START, None)
+    with pytest.raises(AssertionError, match="out of time order"):
+        sim.execute()
+
+
 def test_link_loads_return_to_background_after_quiescence():
     sc = Scenario(policy="lfdt", request_count=100, rng_seed=3)
     sim = SimulationRun(sc)

@@ -117,32 +117,39 @@ def test_sweep_row_cardinality_full_grid():
     assert len(rows) == 5 * 7 * 4
 
 
-def test_sweep_means_equal_individual_runs():
+@pytest.mark.parametrize("var", ["demand", "load"])
+def test_sweep_means_equal_individual_runs(var):
     sc = Scenario(rng_seed=31)
-    sweep = tiny_sweep(points=(3,), reps=3)
-    rows = run_sweep(sc, sweep)
-    per_seed = [run(sc.with_overrides(policy="fws", request_count=3,
-                                      arrival_window_s=sweep.demand_window_s,
-                                      rng_seed=31 + k))
+    sweep = SweepSpec(demand_points=(3,), load_points=(0.3,), policies=("fws",),
+                      repetitions=3, demand_window_s=0.05, load_demand_count=4)
+    rows = run_sweep(sc, sweep, var=var)
+    point = {"demand": {"request_count": 3},
+             "load": {"background_load_fraction": 0.3,
+                      "request_count": sweep.load_demand_count}}[var]
+    per_seed = [run(sc.with_overrides(policy="fws", rng_seed=31 + k,
+                                      arrival_window_s=sweep.demand_window_s, **point))
                 for k in range(3)]
     for metric in METRIC_NAMES:
         expected = sum(r.metric(metric) for r in per_seed) / 3
         row = next(r for r in rows if r.metric == metric)
-        assert row.mean == pytest.approx(expected, rel=1e-12)
-        assert row.reps == 3
+        assert row.mean == expected
+        assert row.reps == 3 and row.sweep_var == var
 
 
 def test_sweep_spec_validation():
     with pytest.raises(ValidationError):
-        SweepSpec(demand_points=(5, 5)).validate()
+        SweepSpec(demand_points=(5, 5)).validate(Scenario())
     with pytest.raises(ValidationError):
-        SweepSpec(load_points=(0.5, 0.4)).validate()
+        SweepSpec(load_points=(0.5, 0.4)).validate(Scenario())
     with pytest.raises(ValidationError):
-        SweepSpec(load_points=(0.5, 1.0)).validate()
+        SweepSpec(load_points=(0.5, 1.0)).validate(Scenario())
     with pytest.raises(ValidationError):
-        SweepSpec(policies=("fws", "random")).validate()
+        SweepSpec(policies=("fws", "random")).validate(Scenario())
     with pytest.raises(ValidationError):
-        SweepSpec(repetitions=0).validate()
+        SweepSpec(repetitions=0).validate(Scenario())
+    # too long for the clock: rejected before any cell runs
+    with pytest.raises(ValidationError, match="sweep.demand_window_s"):
+        run_sweep(Scenario(), SweepSpec(demand_window_s=1e308))
 
 
 def test_render_single_row():
@@ -278,7 +285,10 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"policies": []}, "sweep.policies"),
                   ({"repetitions": 10_001}, "sweep.repetitions"),
                   ({"load_demand_count": 10**30}, "sweep.load_demand_count"),
-                  ({"demand_points": [1, 10_000_001]}, "sweep.demand_points")]]
+                  ({"demand_points": [1, 10_000_001]}, "sweep.demand_points"),
+                  # a horizon too long for the clock, at every sweep point
+                  ({"demand_window_s": 1e308, "demand_points": [2],
+                    "policies": ["fws"], "repetitions": 1}, "sweep.demand_window_s")]]
     cases.append(({"workload": {"request_count": 1}, "sweep": {"repetitions": 0}},
                   "sweep.repetitions", ("validate", "run", "sweep")))
     for idx, (payload, field, commands) in enumerate(cases):
@@ -338,8 +348,7 @@ def test_readme_example_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     start = readme.index("```json\n", readme.index("## Scenario files")) + 8
     raw = json.loads(readme[start:readme.index("```", start)])
-    scenario_from_dict(raw)
-    sweep_from_dict(raw)
+    sweep_from_dict(raw, scenario_from_dict(raw))
     assert set(raw) == set(KEY_TABLES)
     for name, keys in KEY_TABLES.items():
         for body in (raw[name] if name in ("catalog", "chains") else [raw[name]]):
@@ -391,12 +400,22 @@ def test_cli_reads_scenario_file_once(capsys):
 def test_cli_sweep_stdout(tmp_path, capsys):
     scenario = write_scenario(
         tmp_path,
-        {"sweep": {"demand_points": [2], "policies": ["fws"],
+        {"sweep": {"demand_points": [2], "load_points": [0.2, 0.5],
+                   "load_demand_count": 2, "policies": ["fws"],
                    "repetitions": 1, "demand_window_s": 0.05}})
     code = cli_main(["sweep", "--scenario", scenario, "--format", "structured"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["rows"]) == 4
+    code = cli_main(["sweep", "--scenario", scenario, "--var", "load",
+                     "--format", "structured"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert {r["sweep_var"] for r in rows} == {"load"}
+    groups = {p: [r["metric"] for r in rows if r["sweep_value"] == p]
+              for p in (0.2, 0.5)}
+    assert all(sorted(g) == sorted(METRIC_NAMES) for g in groups.values())
+    assert len(rows) == 8
 
 
 # Any JSON value; small numbers and short lists of them are drawn often, so
@@ -432,7 +451,7 @@ SCENARIO_DICTS = st.one_of(*[st.fixed_dictionaries({name: body})
 @settings(max_examples=500, deadline=None, database=None, derandomize=True)
 @given(raw=SCENARIO_DICTS)
 def test_scenario_fuzz_fails_only_with_scenario_errors(raw):
-    for parse in (scenario_from_dict, sweep_from_dict):
+    for parse in (scenario_from_dict, lambda raw: sweep_from_dict(raw, Scenario())):
         try:
             parse(raw)
         except (ParseError, ValidationError):
