@@ -3,7 +3,9 @@
 One run owns all mutable state (event heap, machines, link loads, request
 progress) and executes on a single logical thread.  Event ordering at equal
 timestamps is fixed: finish < transfer < start < arrival, then sequence
-number, so identical inputs replay identically.
+number, so identical inputs replay identically.  A start carries nothing
+but its time, so start times sit in a heap of their own, merged in at
+their rank.
 
 Timing model for one placed service:
 
@@ -22,9 +24,9 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .chains import ready_services
-from .fws import (LabeledService, assign_labels, priority_key, rank_key_fws,
-                  select_machine_fws)
+from .chains import ServiceChain, ready_services
+from .fws import (TRANSITIVE, LabeledService, assign_labels, priority_key,
+                  rank_key_fws, select_machine_fws)
 from .greedy import GREEDY_POLICIES, greedy_select_machine
 from .infrastructure import provision_machine
 from .metrics import MetricsReport, RequestRecord, check_sla, total_cost
@@ -36,7 +38,7 @@ EVENT_START = 2
 EVENT_ARRIVAL = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class Placement:
     """One scheduled service execution and its timing breakdown."""
 
@@ -52,7 +54,7 @@ class Placement:
     transfers_in: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class _RequestState:
     request: object
     unfinished_preds: dict     # service_id -> predecessors not yet finished
@@ -98,10 +100,26 @@ class SimulationRun:
             cid: assign_labels(chain, {sid: self.defs[sid].exec_time_ms
                                        for sid in chain.nodes})
             for cid, chain in self.chains.items()}
+        # Per-service facts, tabled once: (chain_id, service_id) -> (label,
+        # dependents in the run's mode, def, ((pred, its data_out_kb), ...)),
+        # and per chain the unfinished-predecessor counts an arrival copies.
+        dependents = ServiceChain.transitive_dependents \
+            if scenario.weights.dependents == TRANSITIVE \
+            else ServiceChain.immediate_dependents
+        self._services = {
+            (cid, sid): (self.labels[cid][sid], dependents(chain, sid), self.defs[sid],
+                         tuple((p, self.defs[p].data_out_kb)
+                               for p in chain.predecessors(sid)))
+            for cid, chain in self.chains.items() for sid in chain.nodes}
+        self._templates = {
+            cid: ({sid: len(chain.predecessors(sid)) for sid in chain.nodes},
+                  chain.sources())
+            for cid, chain in self.chains.items()}
 
         self.now = 0.0
         self._seq = 0
-        self._events = []
+        self._events = []          # heap of (time_ms, kind, seq, payload)
+        self._starts = []          # heap of start times; see execute
         self.machines = []
         self.placements = []
         self.ready = []            # LabeledService entries, in _priority_key order
@@ -137,22 +155,28 @@ class SimulationRun:
         heapq.heappush(self._events, (time_ms, kind, self._seq, payload))
 
     def execute(self):
-        while self._events:
-            time_ms, kind, _, payload = heapq.heappop(self._events)
+        events, starts = self._events, self._starts
+        while events or starts:
+            # A start sorts after the finishes and transfers of its time and
+            # before its arrivals.  It frees nothing, but it is a dispatch
+            # time: queued entries may first see a machine that has finished
+            # booting, and entries past their delay SLA are dropped.  Without
+            # this pass the seeded schedules change.
+            if starts and (not events or starts[0] < events[0][0] or (
+                    starts[0] == events[0][0] and events[0][1] > EVENT_START)):
+                time_ms, kind, payload = heapq.heappop(starts), EVENT_START, None
+            else:
+                time_ms, kind, _, payload = heapq.heappop(events)
             # every event is pushed at `now` plus a nonnegative delay
             if time_ms < self.now:
                 raise AssertionError("event dequeued out of time order")
             self.now = time_ms
-            if kind == EVENT_ARRIVAL:
-                self._on_arrival(payload)
+            if kind == EVENT_START:
+                self._dispatch()
             elif kind == EVENT_FINISH:
                 self._on_finish(*payload)
-            elif kind == EVENT_START:
-                # A start frees nothing, but it is a dispatch time: queued
-                # entries may first see a machine that has finished booting,
-                # and entries past their delay SLA are dropped.  Without
-                # this pass the seeded schedules change.
-                self._dispatch()
+            elif kind == EVENT_ARRIVAL:
+                self._on_arrival(payload)
             elif kind == EVENT_TRANSFER:
                 self._on_transfer_done(payload)
         # Anything still queued can never be placed: no capacity-releasing
@@ -165,14 +189,13 @@ class SimulationRun:
         return self._report()
 
     def _on_arrival(self, request):
-        chain = self.chains[request.chain_id]
+        counts, sources = self._templates[request.chain_id]
         state = _RequestState(
-            request, {n: len(chain.predecessors(n)) for n in chain.nodes},
-            len(chain.nodes),
+            request, counts.copy(), len(counts),
             _drop_time(request.arrival_time_ms, request.delay_sla_ms))
         self.states[request.request_id] = state
         self.arrived += 1
-        for sid in chain.sources():
+        for sid in sources:
             self._enqueue(state, sid)
         self._dispatch()
 
@@ -205,24 +228,15 @@ class SimulationRun:
     # ---------------------------------------------------------------- dispatch
 
     def _enqueue(self, state, service_id):
-        chain = self.chains[state.request.chain_id]
-        if self.scenario.weights.dependents == "transitive":
-            dependents = chain.transitive_dependents(service_id)
-        else:
-            dependents = chain.immediate_dependents(service_id)
-        sdef = self.defs[service_id]
+        request = state.request
+        label, dependents, sdef, _ = self._services[request.chain_id, service_id]
         if (sdef.memory_gb, sdef.cores) not in self._failed:
             self._walk_at = -math.inf
         elif state.drop_at < self._walk_at:
             self._walk_at = state.drop_at
         bisect.insort(self.ready, LabeledService(
-            instance_id=state.request.request_id,
-            service_id=service_id,
-            label=self.labels[chain.chain_id][service_id],
-            enqueue_time_ms=self.now,
-            exec_time_ms=sdef.exec_time_ms,
-            dependents=dependents,
-        ), key=self._priority_key)
+            request.request_id, service_id, label, self.now,
+            sdef.exec_time_ms, dependents), key=self._priority_key)
 
     def _dispatch(self):
         """One pass over the ready queue, which is kept in priority order.
@@ -296,9 +310,9 @@ class SimulationRun:
         """(pred, machine, data_out_kb) per predecessor, in ascending id
         order: traffic and link-load sums accumulate in this order."""
         state = self.states[entry.instance_id]
-        chain = self.chains[state.request.chain_id]
-        return [(pred, state.placed[pred], self.defs[pred].data_out_kb)
-                for pred in chain.predecessors(entry.service_id)]
+        placed = state.placed
+        return [(pred, placed[pred], data_out_kb) for pred, data_out_kb
+                in self._services[state.request.chain_id, entry.service_id][3]]
 
     def _provision(self, node_id, vm_type, active_at_ms):
         node = self.topology.nodes[node_id]
@@ -369,14 +383,11 @@ class SimulationRun:
 
         start = t + boot_ms + transfer_ms + self.scenario.resume_latency_ms
         finish = start + sdef.exec_time_ms
-        placement = Placement(
-            instance_id=entry.instance_id, service_id=entry.service_id,
-            machine_id=machine.machine_id, start_ms=start, finish_ms=finish,
-            dispatch_ms=t, boot_wait_ms=boot_ms, transfer_ms=transfer_ms,
-            transfers_in=transfers_in)
-        self.placements.append(placement)
+        self.placements.append(Placement(
+            entry.instance_id, entry.service_id, machine.machine_id, start,
+            finish, t, boot_ms, transfer_ms, transfers_in))
         state.placed[entry.service_id] = machine
-        self._push(start, EVENT_START, None)
+        heapq.heappush(self._starts, start)
         self._push(finish, EVENT_FINISH,
                    (entry.instance_id, entry.service_id, machine))
 

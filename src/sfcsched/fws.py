@@ -33,7 +33,7 @@ class WeightParams:
                                   "at least one weight coefficient must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class LabeledService:
     """A ready (instance, service) pair carrying its label and queue state."""
 

@@ -89,8 +89,15 @@ class Link:
 
     def delay_s(self, rho_max=DEFAULT_RHO_MAX):
         """Current sojourn time; load clamped below saturation."""
-        lam = min(self.lambda_pps, rho_max * self.mu_pps)
-        return link_delay(lam, self.mu_pps)
+        return _clamped_delay(self.lambda_pps, self.mu_pps, rho_max)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _clamped_delay(lambda_pps, mu_pps, rho_max):
+    """`link_delay` at the load clamped to `rho_max * mu_pps`; memoised, as
+    a run sees few distinct loads.  Equal keys (-0.0 and 0.0 too) give equal
+    bits, and a call that raises is not cached, so it raises every time."""
+    return link_delay(min(lambda_pps, rho_max * mu_pps), mu_pps)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -157,12 +158,38 @@ def test_clock_too_large_to_resolve_hold_spans_still_reports():
 
 def test_event_before_now_is_rejected():
     # every event is pushed at `now` plus a nonnegative delay, so one that
-    # falls before `now`, however slightly, is a bug and not rounding
+    # falls before `now`, however slightly, is a bug and not rounding; the
+    # check covers the start times' heap and the main heap alike
+    late = math.nextafter(100.0, -math.inf)
+    for push in (lambda sim: heapq.heappush(sim._starts, late),
+                 lambda sim: sim._push(late, engine.EVENT_TRANSFER, ((), 0.0))):
+        sim = SimulationRun(Scenario(request_count=0))
+        sim.now = 100.0
+        push(sim)
+        with pytest.raises(AssertionError, match="out of time order"):
+            sim.execute()
+
+
+def test_equal_time_events_run_finish_transfer_start_arrival():
     sim = SimulationRun(Scenario(request_count=0))
-    sim.now = 100.0
-    sim._push(100.0 - 1e-7, engine.EVENT_START, None)
-    with pytest.raises(AssertionError, match="out of time order"):
-        sim.execute()
+    seen = []
+    sim._on_finish = lambda *payload: seen.append((sim.now, "finish"))
+    sim._on_transfer_done = lambda payload: seen.append((sim.now, "transfer"))
+    sim._dispatch = lambda: seen.append((sim.now, "start"))
+    sim._on_arrival = lambda request: seen.append((sim.now, "arrival"))
+    # pushed in reverse rank order, with a start on either side of 10 ms
+    for t in (10.0, 5.0):
+        sim._push(t, engine.EVENT_ARRIVAL, None)
+        heapq.heappush(sim._starts, t)
+        sim._push(t, engine.EVENT_TRANSFER, None)
+        sim._push(t, engine.EVENT_FINISH, ())
+    heapq.heappush(sim._starts, 10.0)
+    heapq.heappush(sim._starts, 20.0)
+    sim.execute()
+    assert seen == [(5.0, "finish"), (5.0, "transfer"), (5.0, "start"),
+                    (5.0, "arrival"), (10.0, "finish"), (10.0, "transfer"),
+                    (10.0, "start"), (10.0, "start"), (10.0, "arrival"),
+                    (20.0, "start")]
 
 
 def test_link_loads_return_to_background_after_quiescence():
@@ -392,6 +419,57 @@ def test_entry_drops_exactly_at_its_drop_time():
     sim.now = drop_at
     sim._dispatch()
     assert sim.ready == [] and sim.states[2].dropped and sim.dropped == 1
+
+
+def recorded_drops(monkeypatch):
+    """(now, request_id) of every drop the run makes, in order."""
+    drops = []
+    drop = SimulationRun._drop
+
+    def recording(self, state):
+        drops.append((self.now, state.request.request_id))
+        drop(self, state)
+
+    monkeypatch.setattr(SimulationRun, "_drop", recording)
+    return drops
+
+
+def test_start_pass_drops_an_entry_whose_drop_time_is_that_start(monkeypatch):
+    # requests 0 and 1 fill both machines at 0 ms and start exactly at
+    # request 2's drop time; the next finish, 50 ms later, would place it
+    small = default_catalog()[0]
+    drop_at = engine._drop_time(0.0, 40.0)
+    topo = TopologySpec(micro_count=1, core_count=1, micro_slots=1, core_slots=1)
+    sc = Scenario(policy="fws", chains=[ServiceChain(1, {1}, set())],
+                  request_count=3, topology_spec=topo, resume_latency_ms=drop_at)
+    sim = SimulationRun(sc, requests=[UserRequest(k, 1, 0.0, 40.0, 10.0)
+                                      for k in range(3)],
+                        service_defs={1: MicroServiceDef(1, 50.0, 10.0, 1.0, 1)},
+                        initial_machines=[(0, small), (1, small)])
+    drops = recorded_drops(monkeypatch)
+    sim.execute()
+    assert [p.start_ms for p in sim.placements] == [drop_at, drop_at]
+    assert drops == [(drop_at, 2)]
+    validate_run(sim)
+
+
+def test_start_pass_retries_a_demand_on_a_machine_booted_at_that_start():
+    # requests 0 and 1 each provision a 4-core machine that boots for 50 ms
+    # and start on it at 50 ms; request 2 failed at 0 ms with both slots
+    # taken, and the start pass at 50 ms places it, long before any finish
+    wide = VmType("wide", 4.0, 4, 56.25, 0.2)
+    topo = TopologySpec(micro_count=1, core_count=1, micro_slots=1, core_slots=1)
+    sc = Scenario(policy="fws", chains=[ServiceChain(1, {1}, set())],
+                  request_count=3, topology_spec=topo, catalog=[wide],
+                  provision_latency_ms=50.0, resume_latency_ms=0.0)
+    sim = SimulationRun(sc, requests=[UserRequest(k, 1, 0.0, 5000.0, 10.0)
+                                      for k in range(3)],
+                        service_defs={1: MicroServiceDef(1, 500.0, 10.0, 1.0, 1)})
+    sim.execute()
+    assert [(p.instance_id, p.dispatch_ms, p.start_ms) for p in sim.placements] == \
+        [(0, 0.0, 50.0), (1, 0.0, 50.0), (2, 50.0, 50.0)]
+    assert sim.placements[2].machine_id == 0 and sim.dropped == 0
+    validate_run(sim)
 
 
 def test_placing_a_service_twice_is_rejected():

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfcsched import infrastructure
 from sfcsched.errors import (NodeFull, NonPositiveRate, NoPath, NotBuffered,
@@ -52,6 +56,63 @@ def test_link_delay_monotone_in_load_and_rate():
         d_small = link_delay(rho * 100, 100.0)
         d_big = link_delay(rho * 1000, 1000.0)
         assert d_big < d_small
+
+
+def delay_outcome(fn, *args):
+    """The exact bits of fn's delay, or the type of what it raised."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:  # the outcome under test
+        return type(exc)
+
+
+RATES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 3125.0, 12500.0, -1.0)),
+                  st.floats(-1e5, 1e5, allow_nan=False, allow_infinity=False))
+RHO_MAX = st.one_of(st.sampled_from((0.995, 0.5, 1.0, 0.0, -0.0, 1.5)),
+                    st.floats(0.0, 1.5, allow_nan=False))
+# "clamp" puts the whole load at rho_max * mu_pps times the factor drawn
+STEPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("background_pps", "transfer_pps", "mu_pps")), RATES),
+    st.tuples(st.just("rho_max"), RHO_MAX),
+    st.tuples(st.just("clamp"), st.sampled_from(
+        (1.0, math.nextafter(1.0, 2.0), 1.5, 3.0)))), max_size=12)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(mu=RATES, background=RATES, transfer=RATES, rho_max=RHO_MAX, steps=STEPS)
+@example(mu=3125.0, background=0.0, transfer=0.0, rho_max=0.995,
+         steps=[("background_pps", -0.0), ("transfer_pps", -0.0), ("rho_max", -0.0),
+                ("rho_max", 0.0), ("clamp", 1.0), ("mu_pps", 0.0)])
+def test_link_delay_s_equals_the_uncached_clamped_formula(mu, background, transfer,
+                                                          rho_max, steps):
+    # delay_s is memoised on (load, rate, clamp); a changed attribute must
+    # give the fresh value, bit for bit, and a bad rate must raise each time
+    link = Link((0, 1), mu, background, transfer)
+    for attr, value in [(None, None)] + steps:
+        if attr == "rho_max":
+            rho_max = value
+        elif attr == "clamp":
+            link.background_pps, link.transfer_pps = rho_max * link.mu_pps * value, 0.0
+        elif attr is not None:
+            setattr(link, attr, value)
+        lam = link.background_pps + link.transfer_pps
+        expect = delay_outcome(link_delay, min(lam, rho_max * link.mu_pps), link.mu_pps)
+        if link.mu_pps <= 0:
+            assert expect is NonPositiveRate
+        for _ in range(2):  # the second call is answered from the memo
+            assert delay_outcome(link.delay_s, rho_max) == expect
+
+
+def test_link_delay_s_raises_on_every_call_for_a_nonpositive_rate():
+    link = Link((0, 1), 3125.0)
+    assert link.delay_s() == link_delay(0.0, 3125.0)
+    for mu in (0.0, -0.0, -3125.0):
+        link.mu_pps = mu
+        for _ in range(3):
+            with pytest.raises(NonPositiveRate):
+                link.delay_s()
+    link.mu_pps = 3125.0
+    assert link.delay_s() == link_delay(0.0, 3125.0)
 
 
 def line_topology():

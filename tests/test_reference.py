@@ -73,50 +73,56 @@ def schedule(sim):
                    p.finish_ms) for p in sim.placements), sim.dropped
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
-@given(policy=st.sampled_from(POLICY_NAMES),
-       seed=st.integers(0, 10_000),
-       micro_count=st.integers(1, 8),
-       micro_slots=st.integers(1, 3),
-       core_slots=st.integers(1, 4),
-       catalog=st.sampled_from(CATALOGS),
-       # one memory size for every service: demands differ in cores alone
-       memory_gb=st.sampled_from(((0.5, 3.5), (1.5, 1.5))),
-       chains=st.one_of(st.just(canonical_sfcs()), random_chains()),
-       request_count=st.integers(0, 40),
-       rate_rps=st.sampled_from((100.0, 1000.0, 5000.0)),
-       provision_latency_ms=st.sampled_from((0.0, 50.0)),
-       sla_delay_range_ms=st.sampled_from(((20.0, 80.0), (50.0, 600.0))),
-       weights=st.builds(WeightParams, alpha_dep=st.sampled_from((0.0, 1.0, 3.0)),
-                         beta_wait=st.sampled_from((0.01, 0.5)),
-                         dependents=st.sampled_from(("transitive", "immediate"))),
-       initial=st.lists(st.sampled_from([BIG, *CATALOGS[2]]), max_size=2))
-def test_engine_matches_reference(policy, seed, micro_count, micro_slots,
-                                  core_slots, catalog, memory_gb, chains,
-                                  request_count, rate_rps, provision_latency_ms,
-                                  sla_delay_range_ms, weights, initial):
-    topo = TopologySpec(micro_count=micro_count, core_count=1,
-                        micro_slots=micro_slots, core_slots=core_slots)
-    sc = Scenario(policy=policy, rng_seed=seed, topology_spec=topo,
-                  catalog=catalog, chains=chains, request_count=request_count,
-                  arrival_rate_rps=rate_rps,
-                  provision_latency_ms=provision_latency_ms,
-                  sla_delay_range_ms=sla_delay_range_ms, weights=weights,
-                  service_memory_range_gb=memory_gb,
+@st.composite
+def reference_runs(draw, max_micro_count=8, max_core_count=1, max_requests=40):
+    """A random scenario and its preprovisioned machines: policies, catalogs,
+    topologies, chains, loads and SLAs that reach past saturation."""
+    micro_count = draw(st.integers(1, max_micro_count))
+    core_count = draw(st.integers(1, min(max_core_count, micro_count)))
+    core_slots = draw(st.integers(1, 4))
+    topo = TopologySpec(micro_count=micro_count, core_count=core_count,
+                        micro_slots=draw(st.integers(1, 3)), core_slots=core_slots)
+    sc = Scenario(policy=draw(st.sampled_from(POLICY_NAMES)),
+                  rng_seed=draw(st.integers(0, 10_000)), topology_spec=topo,
+                  catalog=draw(st.sampled_from(CATALOGS)),
+                  chains=draw(st.one_of(st.just(canonical_sfcs()), random_chains())),
+                  request_count=draw(st.integers(0, max_requests)),
+                  arrival_rate_rps=draw(st.sampled_from((100.0, 1000.0, 5000.0))),
+                  provision_latency_ms=draw(st.sampled_from((0.0, 50.0))),
+                  sla_delay_range_ms=draw(st.sampled_from(((20.0, 80.0),
+                                                           (50.0, 600.0)))),
+                  weights=draw(st.builds(
+                      WeightParams, alpha_dep=st.sampled_from((0.0, 1.0, 3.0)),
+                      beta_wait=st.sampled_from((0.01, 0.5)),
+                      dependents=st.sampled_from(("transitive", "immediate")))),
+                  # one memory size for every service: demands differ in cores alone
+                  service_memory_range_gb=draw(st.sampled_from(((0.5, 3.5),
+                                                                (1.5, 1.5)))),
                   service_cores_choices=(1, 1, 2))
-    # the machines sit on the core node, which every topology has
-    machines = [(micro_count, vm) for vm in initial[:core_slots]]
-    assert schedule(SimulationRun(sc, initial_machines=machines)) == \
-        schedule(Reference(sc, initial_machines=machines))
+    initial = draw(st.lists(st.sampled_from([BIG, *CATALOGS[2]]), max_size=2))
+    # the machines sit on the first core node, which every topology has
+    return sc, {"initial_machines": [(micro_count, vm) for vm in initial[:core_slots]]}
+
+
+def assert_matches_reference(sc, inputs):
+    """The engine and `Reference` give one schedule for the scenario and
+    the SimulationRun keyword inputs."""
+    assert schedule(SimulationRun(sc, **inputs)) == schedule(Reference(sc, **inputs))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(run=reference_runs())
+def test_engine_matches_reference(run):
+    assert_matches_reference(*run)
 
 
 @st.composite
-def whole_ms_requests(draw, chain_ids):
+def whole_ms_requests(draw, chain_ids, max_requests):
     """Requests with whole-millisecond arrivals and SLAs, so that starts and
     finishes can land on `arrival + sla`; some arrive exactly at an earlier
     request's drop time, or one float below it."""
     rows = []
-    for _ in range(draw(st.integers(1, 25))):
+    for _ in range(draw(st.integers(1, max_requests))):
         at = float(draw(st.integers(0, 80)))
         if rows and draw(st.booleans()):
             earlier_at, earlier_sla, _ = draw(st.sampled_from(rows))
@@ -140,24 +146,23 @@ def whole_ms_service_defs(draw, chains):
 
 
 @st.composite
-def whole_ms_runs(draw):
+def whole_ms_runs(draw, max_micro_count=3, max_requests=25):
     chains = draw(st.one_of(st.just(canonical_sfcs()), random_chains()))
-    requests = draw(whole_ms_requests([c.chain_id for c in chains]))
+    requests = draw(whole_ms_requests([c.chain_id for c in chains], max_requests))
     sc = Scenario(policy=draw(st.sampled_from(POLICY_NAMES)),
                   topology_spec=TopologySpec(
-                      micro_count=draw(st.integers(1, 3)), core_count=1,
+                      micro_count=draw(st.integers(1, max_micro_count)), core_count=1,
                       micro_slots=draw(st.integers(1, 2)),
                       core_slots=draw(st.integers(1, 2))),
                   catalog=draw(st.sampled_from(CATALOGS)), chains=chains,
                   request_count=len(requests),
                   provision_latency_ms=draw(st.sampled_from((0.0, 5.0, 20.0))),
                   resume_latency_ms=draw(st.sampled_from((0.0, 5.0))))
-    return sc, requests, draw(whole_ms_service_defs(chains))
+    return sc, {"requests": requests,
+                "service_defs": draw(whole_ms_service_defs(chains))}
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(run=whole_ms_runs())
 def test_engine_matches_reference_on_exact_drop_times(run):
-    sc, requests, defs = run
-    assert schedule(SimulationRun(sc, requests=requests, service_defs=defs)) == \
-        schedule(Reference(sc, requests=requests, service_defs=defs))
+    assert_matches_reference(*run)
