@@ -12,11 +12,8 @@ Timing model for one placed service:
     dispatch ─ boot wait ─ inbound transfers ─ resume ─ execute ─ finish
 
 Machine capacity is held from dispatch until finish.  A transfer is charged
-only when a predecessor sits on a different machine; it serializes the
-predecessor's output at the slower of the two machine NICs and, when the
-machines sit on different nodes, additionally waits out the M/D/1 sojourn of
-every link on the min-hop route.  While in flight, a transfer contributes
-its line rate to those links, so concurrent transfers see each other's load.
+only when a predecessor sits on a different machine; its delay and link
+load follow `Topology.start_transfer`.
 """
 
 import bisect
@@ -29,7 +26,7 @@ from .fws import (TRANSITIVE, LabeledService, assign_labels, priority_key,
                   rank_key_fws, select_machine_fws)
 from .greedy import GREEDY_POLICIES, greedy_select_machine
 from .infrastructure import provision_machine
-from .metrics import MetricsReport, RequestRecord, check_sla, total_cost
+from .metrics import MetricsReport, report
 from .scenario import Scenario, generate_workload, sample_service_defs
 
 EVENT_FINISH = 0
@@ -178,7 +175,7 @@ class SimulationRun:
             elif kind == EVENT_ARRIVAL:
                 self._on_arrival(payload)
             elif kind == EVENT_TRANSFER:
-                self._on_transfer_done(payload)
+                self.topology.end_transfer(*payload)
         # Anything still queued can never be placed: no capacity-releasing
         # event remains.  Those requests count as dropped.
         for entry in self.ready:
@@ -186,7 +183,7 @@ class SimulationRun:
             if not state.dropped:
                 self._drop(state)
         self.ready.clear()
-        return self._report()
+        return report(self)
 
     def _on_arrival(self, request):
         counts, sources = self._templates[request.chain_id]
@@ -218,12 +215,6 @@ class SimulationRun:
                                            state.unfinished_preds):
                     self._enqueue(state, succ)
         self._dispatch()
-
-    def _on_transfer_done(self, transfer):
-        route, rate_pps = transfer
-        for key in route:
-            link = self.topology.links[key]
-            link.transfer_pps = max(0.0, link.transfer_pps - rate_pps)
 
     # ---------------------------------------------------------------- dispatch
 
@@ -366,18 +357,10 @@ class SimulationRun:
             if pred_machine.machine_id == machine.machine_id:
                 continue
             self.traffic_kb += data_out_kb
-            bw = min(pred_machine.vm_type.max_bandwidth_mbps,
-                     machine.vm_type.max_bandwidth_mbps)
-            delay_ms = data_out_kb / bw  # kB over MB/s serializes in ms
-            if pred_machine.node_id != machine.node_id:
-                route = self.topology.route(pred_machine.node_id, machine.node_id)
-                delay_ms += 1000.0 * sum(
-                    self.topology.links[k].delay_s(self.topology.rho_max)
-                    for k in route)
-                rate_pps = self.topology.line_rate_pps(bw)
-                for k in route:
-                    self.topology.links[k].transfer_pps += rate_pps
-                self._push(t + delay_ms, EVENT_TRANSFER, (route, rate_pps))
+            delay_ms, transfer = self.topology.start_transfer(
+                pred_machine, machine, data_out_kb)
+            if transfer is not None:
+                self._push(t + delay_ms, EVENT_TRANSFER, transfer)
             transfers_in[pred] = delay_ms
             transfer_ms = max(transfer_ms, delay_ms)
 
@@ -394,63 +377,6 @@ class SimulationRun:
     def _drop(self, state):
         state.dropped = True
         self.dropped += 1
-
-    # ----------------------------------------------------------------- report
-
-    def makespan_ms(self):
-        return max((p.finish_ms for p in self.placements), default=0.0)
-
-    def _attributed_costs(self):
-        """Split each machine's hourly cost across requests by held time."""
-        held_by_machine = {}
-        held_by_request = {}
-        for p in self.placements:
-            span = p.finish_ms - p.dispatch_ms
-            held_by_machine[p.machine_id] = held_by_machine.get(p.machine_id, 0.0) + span
-            spans = held_by_request.setdefault(p.instance_id, {})
-            spans[p.machine_id] = spans.get(p.machine_id, 0.0) + span
-        costs = {}
-        for rid, spans in held_by_request.items():
-            total = 0.0
-            for mid, span in spans.items():
-                held = held_by_machine[mid]
-                # every span on a machine is 0 only once the clock is too
-                # large to resolve them; no request then held it measurably
-                total += (span / held if held else 0.0) * \
-                    self.machines[mid].vm_type.hourly_cost
-            costs[rid] = total
-        return costs
-
-    def _report(self):
-        if self.completed + self.dropped != self.arrived:
-            raise AssertionError("requests lost: conservation violated")
-        costs = self._attributed_costs()
-        records = []
-        for rid in sorted(self.states):
-            state = self.states[rid]
-            req = state.request
-            turnaround = None
-            if state.completed_ms is not None:
-                turnaround = state.completed_ms - req.arrival_time_ms
-            cost = costs.get(rid, 0.0)
-            satisfied = check_sla(req, turnaround, cost, dropped=state.dropped)
-            records.append(RequestRecord(
-                request_id=rid, chain_id=req.chain_id,
-                arrival_ms=req.arrival_time_ms, turnaround_ms=turnaround,
-                attributed_cost=cost, satisfied=satisfied,
-                dropped=state.dropped))
-        finished = [r.turnaround_ms for r in records if r.turnaround_ms is not None]
-        avg_turnaround = sum(finished) / len(finished) if finished else 0.0
-        satisfied_pct = (100.0 * sum(1 for r in records if r.satisfied) /
-                         len(records)) if records else 100.0
-        return MetricsReport(
-            policy=self.scenario.policy,
-            total_traffic_kb=self.traffic_kb,
-            avg_turnaround_ms=avg_turnaround,
-            satisfied_pct=satisfied_pct,
-            total_cost_per_hour=total_cost(self.machines),
-            per_request=records,
-        )
 
 
 def run(scenario: Scenario) -> MetricsReport:

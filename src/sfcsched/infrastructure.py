@@ -2,7 +2,8 @@
 
 Links are M/D/1 delay functions, not packet queues.  Each link carries a
 fixed background load plus the line-rate contribution of transfers currently
-in flight; delays are evaluated on demand from that combined load.
+in flight; delays are evaluated on demand from that combined load.  The
+transfer model is `Topology.start_transfer`.
 """
 
 import functools
@@ -211,6 +212,33 @@ class Topology:
 
     def line_rate_pps(self, bandwidth_mbps):
         return bandwidth_mbps * 1000.0 / self.packet_kb
+
+    def start_transfer(self, src_machine, dst_machine, data_kb):
+        """Start moving `data_kb` between two machines; (delay_ms, transfer).
+
+        The data serializes at the slower of the two NICs.  Across nodes it
+        also waits out the M/D/1 sojourn of every min-hop route link at the
+        current load, then adds its line rate to those links while in
+        flight, so later transfers see it.  `transfer` is (route, rate_pps)
+        for `end_transfer`, or None within one node, where no link is loaded.
+        """
+        bw = min(src_machine.vm_type.max_bandwidth_mbps,
+                 dst_machine.vm_type.max_bandwidth_mbps)
+        delay_ms = data_kb / bw  # kB over MB/s serializes in ms
+        if src_machine.node_id == dst_machine.node_id:
+            return delay_ms, None
+        route = self.route(src_machine.node_id, dst_machine.node_id)
+        delay_ms += 1000.0 * sum(self.links[k].delay_s(self.rho_max) for k in route)
+        rate_pps = self.line_rate_pps(bw)
+        for k in route:
+            self.links[k].transfer_pps += rate_pps
+        return delay_ms, (route, rate_pps)
+
+    def end_transfer(self, route, rate_pps):
+        """Release the link load of a transfer from `start_transfer`."""
+        for k in route:
+            link = self.links[k]
+            link.transfer_pps = max(0.0, link.transfer_pps - rate_pps)
 
 
 def default_topology(micro_count=16, core_count=4,

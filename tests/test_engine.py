@@ -11,7 +11,7 @@ from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest, canonica
 from sfcsched.engine import SimulationRun, run
 from sfcsched.fws import LabeledService, select_machine_fws
 from sfcsched.greedy import GREEDY_POLICIES, greedy_select_machine
-from sfcsched.infrastructure import VmType, default_catalog
+from sfcsched.infrastructure import Topology, VmType, default_catalog
 from sfcsched.metrics import validate_run
 from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
 
@@ -174,14 +174,14 @@ def test_equal_time_events_run_finish_transfer_start_arrival():
     sim = SimulationRun(Scenario(request_count=0))
     seen = []
     sim._on_finish = lambda *payload: seen.append((sim.now, "finish"))
-    sim._on_transfer_done = lambda payload: seen.append((sim.now, "transfer"))
+    sim.topology.end_transfer = lambda *transfer: seen.append((sim.now, "transfer"))
     sim._dispatch = lambda: seen.append((sim.now, "start"))
     sim._on_arrival = lambda request: seen.append((sim.now, "arrival"))
     # pushed in reverse rank order, with a start on either side of 10 ms
     for t in (10.0, 5.0):
         sim._push(t, engine.EVENT_ARRIVAL, None)
         heapq.heappush(sim._starts, t)
-        sim._push(t, engine.EVENT_TRANSFER, None)
+        sim._push(t, engine.EVENT_TRANSFER, ((), 0.0))
         sim._push(t, engine.EVENT_FINISH, ())
     heapq.heappush(sim._starts, 10.0)
     heapq.heappush(sim._starts, 20.0)
@@ -561,6 +561,36 @@ def test_random_runs_pass_validate_run(policy, seed, micro_count, core_count,
     sim.execute()
     validate_run(sim)
 
+
+
+def test_validate_run_replays_link_loads(monkeypatch):
+    # every transfer releases its links at once, so none sees another's load
+    start_transfer = Topology.start_transfer
+
+    def unloaded(topology, src_machine, dst_machine, data_kb):
+        delay_ms, transfer = start_transfer(topology, src_machine, dst_machine, data_kb)
+        if transfer is not None:
+            topology.end_transfer(*transfer)
+        return delay_ms, transfer
+
+    sc = Scenario(policy="fws", request_count=300, rng_seed=1)
+    sim = SimulationRun(sc)
+    sim.execute()
+    validate_run(sim)
+    monkeypatch.setattr(Topology, "start_transfer", unloaded)
+    sim = SimulationRun(sc)
+    sim.execute()
+    with pytest.raises(AssertionError, match="replay gives"):
+        validate_run(sim)
+
+
+def test_validate_run_replays_boot_waits():
+    sim = SimulationRun(Scenario(policy="lfff", request_count=50, rng_seed=2))
+    sim.execute()
+    validate_run(sim)
+    sim.placements[len(sim.placements) // 2].boot_wait_ms += 1.0
+    with pytest.raises(AssertionError, match="boot wait"):
+        validate_run(sim)
 
 def test_selection_sees_free_core_machines_in_policy_order(monkeypatch):
     # mixed core counts (a 4-core type, 1-3 core demands) make machines go

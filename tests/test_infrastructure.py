@@ -180,6 +180,61 @@ def test_route_table_is_shared_per_topology_shape():
     assert small.route(0, 3) == ((0, 4), (4, 5), (3, 5))
 
 
+
+def transfer_topology():
+    """The default topology at 30% background load, with machines on micro
+    nodes 0 and 1 (one core behind) and on micro node 5 (another core)."""
+    topo = default_topology()
+    topo.set_background_load(0.3)
+    slow, fast = default_catalog()[0], default_catalog()[3]  # 25 and 56.25 MB/s
+    a = Machine(0, 0, fast)
+    return topo, a, Machine(1, 0, slow), Machine(2, 5, fast), Machine(3, 1, fast)
+
+
+def test_transfer_within_a_node_serializes_only():
+    topo, a, same_node, _, _ = transfer_topology()
+    assert topo.start_transfer(a, same_node, 50.0) == (50.0 / 25.0, None)
+    assert all(link.transfer_pps == 0.0 for link in topo.links.values())
+
+
+def test_transfer_across_nodes_waits_out_its_route_and_loads_it():
+    topo, a, _, far, _ = transfer_topology()
+    route = topo.route(0, 5)
+    assert len(route) == 3
+    expected = 100.0 / 56.25 + 1000.0 * topo.path_delay_s(0, 5)
+    delay_ms, transfer = topo.start_transfer(a, far, 100.0)
+    assert delay_ms == expected
+    assert transfer == (route, topo.line_rate_pps(56.25))
+    for key, link in topo.links.items():
+        assert link.transfer_pps == (transfer[1] if key in route else 0.0)
+
+
+def test_second_transfer_sees_the_first_ones_load():
+    topo, a, _, far, near = transfer_topology()
+    idle_ms = 100.0 / 56.25 + 1000.0 * topo.path_delay_s(0, 1)
+    _, first = topo.start_transfer(a, far, 100.0)
+    shared = set(topo.route(0, 1)) & set(first[0])
+    assert shared  # node 0's access link
+    loaded_ms = 100.0 / 56.25 + 1000.0 * topo.path_delay_s(0, 1)
+    assert loaded_ms > idle_ms
+    second_ms, second = topo.start_transfer(a, near, 100.0)
+    assert second_ms == loaded_ms
+    for key in shared:
+        assert topo.links[key].transfer_pps == first[1] + second[1]
+
+
+def test_end_transfer_returns_every_link_to_background():
+    topo, a, slow, far, near = transfer_topology()
+    transfers = [topo.start_transfer(a, far, 100.0)[1],
+                 topo.start_transfer(slow, near, 40.0)[1],
+                 topo.start_transfer(a, near, 100.0)[1]]
+    assert any(link.transfer_pps > 0.0 for link in topo.links.values())
+    for transfer in transfers:
+        topo.end_transfer(*transfer)
+    for link in topo.links.values():
+        assert link.transfer_pps == pytest.approx(0.0, abs=1e-9)
+        assert link.lambda_pps == pytest.approx(0.3 * link.mu_pps)
+
 def test_nearest_vm_type_examples():
     catalog = default_catalog()
     assert nearest_vm_type(1.5, 1, catalog).name == "t2.small"

@@ -1,9 +1,13 @@
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest
 from sfcsched.engine import Placement
-from sfcsched.infrastructure import Machine, default_catalog
-from sfcsched.metrics import accumulate_traffic, check_sla, total_cost
+from sfcsched.infrastructure import Machine, default_catalog, default_topology
+from sfcsched.metrics import (_replay_boot_and_transfers, accumulate_traffic,
+                              check_sla, total_cost)
 
 
 def place(iid, sid, mid):
@@ -66,3 +70,49 @@ def test_total_cost_examples():
     assert total_cost([]) == 0.0
     mixed = [catalog_machine("t2.medium", 0), catalog_machine("m4.large", 1)]
     assert total_cost(mixed) == pytest.approx(0.208)
+
+
+def test_replay_accepts_either_load_at_an_exact_transfer_end():
+    # Request 0's transfer 0 -> 5 ends exactly when request 1 dispatches a
+    # transfer 0 -> 6 over two of the same links.  A pass triggered by a
+    # finish at that time still sees the first load, one triggered by a
+    # start or an arrival does not; one float later, it is gone for good.
+    topo = default_topology()
+    fast = default_catalog()[3]
+    machines = [Machine(0, 0, fast), Machine(1, 5, fast), Machine(2, 6, fast)]
+    assert len(set(topo.route(0, 5)) & set(topo.route(0, 6))) == 2
+    chain = ServiceChain(1, {1, 2}, {(1, 2)})
+    defs = mkdefs({1: 100.0, 2: 100.0})
+    first_ms, first = topo.start_transfer(machines[0], machines[1], 100.0)
+    loaded_ms, second = topo.start_transfer(machines[0], machines[2], 100.0)
+    topo.end_transfer(*first)
+    topo.end_transfer(*second)
+    idle_ms, second = topo.start_transfer(machines[0], machines[2], 100.0)
+    topo.end_transfer(*second)
+    assert loaded_ms > idle_ms
+    tie = 10.0 + first_ms  # request 0's transfer starts at 10 ms
+
+    def replay(dispatch_ms, delay_ms):
+        placements = [Placement(0, 1, 0, 0.0, 5.0, 0.0, 0.0, 0.0),
+                      Placement(1, 1, 0, 0.0, 5.0, 0.0, 0.0, 0.0),
+                      Placement(0, 2, 1, tie, tie + 50.0, 10.0, 0.0, first_ms,
+                                {1: first_ms}),
+                      Placement(1, 2, 2, dispatch_ms + delay_ms,
+                                dispatch_ms + delay_ms + 50.0, dispatch_ms, 0.0,
+                                delay_ms, {1: delay_ms})]
+        sim = SimpleNamespace(topology=topo, machines=machines, defs=defs,
+                              placements=placements,
+                              scenario=SimpleNamespace(provision_latency_ms=50.0))
+        _replay_boot_and_transfers(
+            sim, {0: chain, 1: chain},
+            {(p.instance_id, p.service_id): p for p in placements})
+
+    replay(tie, loaded_ms)
+    replay(tie, idle_ms)
+    later = math.nextafter(tie, math.inf)
+    replay(later, idle_ms)
+    with pytest.raises(AssertionError, match="replay gives"):
+        replay(later, loaded_ms)
+    earlier = math.nextafter(tie, -math.inf)
+    with pytest.raises(AssertionError, match="replay gives"):
+        replay(earlier, idle_ms)

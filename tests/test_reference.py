@@ -17,6 +17,7 @@ from sfcsched.chains import MicroServiceDef, UserRequest, canonical_sfcs
 from sfcsched.engine import SimulationRun, _drop_time
 from sfcsched.fws import WeightParams, compute_weight
 from sfcsched.infrastructure import VmType
+from sfcsched.metrics import validate_run
 from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
 from test_engine import CATALOGS, random_chains
 from test_policies import (LEAST_FULL, MOST_FULL, oracle_greedy_select_machine,
@@ -106,8 +107,11 @@ def reference_runs(draw, max_micro_count=8, max_core_count=1, max_requests=40):
 
 def assert_matches_reference(sc, inputs):
     """The engine and `Reference` give one schedule for the scenario and
-    the SimulationRun keyword inputs."""
-    assert schedule(SimulationRun(sc, **inputs)) == schedule(Reference(sc, **inputs))
+    the SimulationRun keyword inputs, and the engine's passes `validate_run`."""
+    sim = SimulationRun(sc, **inputs)
+    engine_schedule = schedule(sim)
+    validate_run(sim)
+    assert engine_schedule == schedule(Reference(sc, **inputs))
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
