@@ -39,13 +39,6 @@ def build_parser():
     return parser
 
 
-def _deliver(rows, args):
-    if args.out:
-        emit_results(rows, args.out, args.format)
-    else:
-        sys.stdout.write(render_results(rows, args.format))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -62,14 +55,15 @@ def main(argv=None) -> int:
         if args.policy is not None:
             scenario = scenario.with_overrides(policy=args.policy)
         if args.command == "run":
-            report = run(scenario)
-            rows = report_rows(report, "demand", scenario.request_count)
-            _deliver(rows, args)
-            return 0
-        if args.policy is not None:
-            sweep.policies = (args.policy,)
-        rows = run_sweep(scenario, sweep, var=args.var)
-        _deliver(rows, args)
+            rows = report_rows([run(scenario)], "demand", scenario.request_count)
+        else:
+            if args.policy is not None:
+                sweep.policies = (args.policy,)
+            rows = run_sweep(scenario, sweep, var=args.var)
+        if args.out:
+            emit_results(rows, args.out, args.format)
+        else:
+            sys.stdout.write(render_results(rows, args.format))
         return 0
     except SfcSchedError as exc:
         print(f"error: {exc}", file=sys.stderr)

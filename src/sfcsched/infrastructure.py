@@ -243,7 +243,8 @@ class Topology:
 
 def default_topology(micro_count=16, core_count=4,
                      micro_slots=MICRO_VM_SLOTS, core_slots=CORE_VM_SLOTS,
-                     micro_mu_pps=MICRO_LINK_MU_PPS, core_mu_pps=CORE_LINK_MU_PPS,
+                     micro_link_mu_pps=MICRO_LINK_MU_PPS,
+                     core_link_mu_pps=CORE_LINK_MU_PPS,
                      rho_max=DEFAULT_RHO_MAX, packet_kb=DEFAULT_PACKET_KB):
     """16 edge micro-clouds (ids 0..15) behind 4 fully meshed core clouds.
 
@@ -255,11 +256,11 @@ def default_topology(micro_count=16, core_count=4,
     links = []
     for j in range(core_count):
         for k in range(j + 1, core_count):
-            links.append(Link((micro_count + j, micro_count + k), core_mu_pps))
+            links.append(Link((micro_count + j, micro_count + k), core_link_mu_pps))
     per_core = micro_count // core_count
     for i in range(micro_count):
         core = micro_count + min(i // per_core, core_count - 1)
-        links.append(Link((i, core), micro_mu_pps))
+        links.append(Link((i, core), micro_link_mu_pps))
     return Topology(nodes, links, rho_max=rho_max, packet_kb=packet_kb)
 
 

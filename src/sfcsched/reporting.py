@@ -8,7 +8,7 @@ each field's rule sits in its metadata (see ``errors.check_fields``).
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .chains import ServiceChain
 from .engine import run
@@ -53,6 +53,16 @@ class SweepSpec:
 
 
 @dataclass
+class _ChainEntry:  # a chains entry as the file holds it
+    chain_id: int = checked((is_int, "must be an integer"))
+    nodes: tuple = checked(list_of(is_int, "integer service ids"))
+    # _section made the section's lists tuples; an edge is still a list
+    edges: tuple = checked((lambda v: isinstance(v, tuple) and all(
+        isinstance(e, list) and len(e) == 2 and all(map(is_int, e)) for e in v),
+        "must list [from, to] service id pairs"), ())
+
+
+@dataclass
 class ResultRow:
     policy: str
     sweep_var: str     # "demand" | "load"
@@ -73,12 +83,17 @@ def _section(body, path, keys):
     return {k: (tuple(v) if isinstance(v, list) else v) for k, v in body.items()}
 
 
-def _entries(raw, name, keys):
-    """Each entry of a list section with its path, as keyword arguments."""
+def _entries(raw, name, cls):
+    """Each entry of a list section with its path, built as ``cls``."""
     if not isinstance(raw[name], list) or not raw[name]:
         raise ValidationError(name, "must be a nonempty list")
-    for idx, entry in enumerate(raw[name]):
-        yield f"{name}[{idx}]", _section(entry, f"{name}[{idx}]", keys)
+    for idx, body in enumerate(raw[name]):
+        path = f"{name}[{idx}]"
+        entry = _section(body, path, section_keys(cls))
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in entry:
+                raise ValidationError(path, f"missing {f.name!r}")
+        yield path, cls(**entry)
 
 
 _TOPOLOGY_KEYS = section_keys(TopologySpec)
@@ -86,7 +101,7 @@ _WORKLOAD_KEYS = section_keys(Scenario)
 _FWS_KEYS = section_keys(WeightParams) + section_keys(Scenario, "fws")
 _SWEEP_KEYS = section_keys(SweepSpec)
 _CATALOG_KEYS = section_keys(VmType)
-_CHAIN_KEYS = ("chain_id", "nodes", "edges")
+_CHAIN_KEYS = section_keys(_ChainEntry)
 
 
 def read_scenario_file(path) -> dict:
@@ -119,33 +134,16 @@ def scenario_from_dict(raw) -> Scenario:
         **_section(raw.get("topology", {}), "topology", _TOPOLOGY_KEYS))}
 
     if "catalog" in raw:  # null too: it fails the list check
-        kw["catalog"] = []
-        for path, entry in _entries(raw, "catalog", _CATALOG_KEYS):
-            try:
-                kw["catalog"].append(VmType(**entry))
-            except TypeError as exc:  # a missing key: VmType has no defaults
-                raise ValidationError(path, str(exc)) from exc
+        # Scenario.validate checks each type's fields
+        kw["catalog"] = [vm for _, vm in _entries(raw, "catalog", VmType)]
 
     if "chains" in raw:  # null too: it fails the list check
         kw["chains"] = []
-        for path, entry in _entries(raw, "chains", _CHAIN_KEYS):
-            for key in ("chain_id", "nodes"):
-                if key not in entry:
-                    raise ValidationError(path, f"missing {key!r}")
-            nodes, edges = entry["nodes"], entry.get("edges", ())
-            if not is_int(entry["chain_id"]):
-                raise ValidationError(f"{path}.chain_id", "must be an integer")
-            # _section made the section's lists tuples; an edge is still a list
-            if not (isinstance(nodes, tuple) and nodes and all(map(is_int, nodes))):
-                raise ValidationError(f"{path}.nodes", "must list integer service ids")
-            if not (isinstance(edges, tuple) and all(
-                    isinstance(e, list) and len(e) == 2 and all(map(is_int, e))
-                    for e in edges)):
-                raise ValidationError(f"{path}.edges",
-                                      "must list [from, to] service id pairs")
+        for path, entry in _entries(raw, "chains", _ChainEntry):
+            check_fields(entry, path)
             try:
-                kw["chains"].append(ServiceChain(entry["chain_id"], set(nodes),
-                                                 {tuple(e) for e in edges}))
+                kw["chains"].append(ServiceChain(entry.chain_id, set(entry.nodes),
+                                                 {tuple(e) for e in entry.edges}))
             except (CycleDetected, DanglingEdge) as exc:
                 raise ValidationError(f"{path}.edges", str(exc)) from exc
 
@@ -176,39 +174,31 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, var="demand") -> list:
     Repetition k runs with seed ``rng_seed + k`` so means are reproducible.
     """
     sweep.validate(scenario)
-    if var == "demand":
-        points = sweep.demand_points
-    elif var == "load":
-        points = sweep.load_points
-    else:
+    # the scenario fields one point of each sweep variable sets
+    point_fields = {"demand": lambda p: {"request_count": int(p)},
+                    "load": lambda p: {"background_load_fraction": float(p),
+                                       "request_count": sweep.load_demand_count}}
+    if var not in point_fields:
         raise ValidationError("sweep.var", f"unknown sweep variable {var!r}")
     rows = []
     for policy in sweep.policies:
-        for point in points:
-            if var == "demand":
-                base = scenario.with_overrides(
-                    policy=policy, request_count=int(point),
-                    arrival_window_s=sweep.demand_window_s)
-            else:
-                base = scenario.with_overrides(
-                    policy=policy, background_load_fraction=float(point),
-                    request_count=sweep.load_demand_count,
-                    arrival_window_s=sweep.demand_window_s)
+        for point in getattr(sweep, f"{var}_points"):
+            base = scenario.with_overrides(
+                policy=policy, arrival_window_s=sweep.demand_window_s,
+                **point_fields[var](point))
             reports = [run(base.with_overrides(rng_seed=scenario.rng_seed + k))
                        for k in range(sweep.repetitions)]
-            for metric in METRIC_NAMES:
-                mean = sum(r.metric(metric) for r in reports) / len(reports)
-                rows.append(ResultRow(policy=policy, sweep_var=var,
-                                      sweep_value=point, metric=metric,
-                                      mean=mean, reps=sweep.repetitions))
+            rows += report_rows(reports, var, point)
     return rows
 
 
-def report_rows(report, sweep_var, sweep_value) -> list:
-    """Express one MetricsReport in the sweep row shape (reps = 1)."""
-    return [ResultRow(policy=report.policy, sweep_var=sweep_var,
-                      sweep_value=sweep_value, metric=m, mean=report.metric(m),
-                      reps=1)
+def report_rows(reports, sweep_var, sweep_value) -> list:
+    """One row per metric: its mean over the MetricsReports of one sweep
+    point's repetitions, all of one policy; one run is the one-report case."""
+    return [ResultRow(policy=reports[0].policy, sweep_var=sweep_var,
+                      sweep_value=sweep_value, metric=m,
+                      mean=sum(r.metric(m) for r in reports) / len(reports),
+                      reps=len(reports))
             for m in METRIC_NAMES]
 
 
@@ -224,10 +214,8 @@ def render_results(rows, fmt="csv") -> str:
                          f"{r.metric},{r.mean!r},{r.reps}")
         return "\n".join(lines) + "\n"
     if fmt == "structured":
-        payload = [{"policy": r.policy, "sweep_var": r.sweep_var,
-                    "sweep_value": r.sweep_value, "metric": r.metric,
-                    "mean": r.mean, "reps": r.reps} for r in ordered]
-        return json.dumps({"rows": payload}, indent=2, sort_keys=True) + "\n"
+        return json.dumps({"rows": [asdict(r) for r in ordered]}, indent=2,
+                          sort_keys=True) + "\n"
     raise ValidationError("format", f"unknown output format {fmt!r}")
 
 

@@ -9,7 +9,7 @@ are identical.
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .chains import MicroServiceDef, UserRequest, canonical_sfcs
 from .errors import (NONNEGATIVE, POSITIVE, ValidationError, check_fields, checked,
@@ -53,10 +53,8 @@ class TopologySpec:
     packet_kb: float = checked(POSITIVE, DEFAULT_PACKET_KB)
 
     def build(self):
-        return default_topology(
-            self.micro_count, self.core_count, self.micro_slots, self.core_slots,
-            self.micro_link_mu_pps, self.core_link_mu_pps,
-            rho_max=self.rho_max, packet_kb=self.packet_kb)
+        # each field is the default_topology parameter of its name
+        return default_topology(**asdict(self))
 
     def validate(self):
         check_fields(self, "topology")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfcsched import reporting
 from sfcsched.cli import main as cli_main
 from sfcsched.engine import run
 from sfcsched.errors import ParseError, ValidationError
@@ -91,7 +93,7 @@ def test_file_seed_and_cli_seed_override(tmp_path, capsys):
     assert scenario.rng_seed == 10
 
     def rows_text(sc):
-        return render_results(report_rows(run(sc), "demand", sc.request_count))
+        return render_results(report_rows([run(sc)], "demand", sc.request_count))
 
     assert cli_main(["run", "--scenario", path, "--seed", "99"]) == 0
     out = capsys.readouterr().out
@@ -134,6 +136,16 @@ def test_sweep_means_equal_individual_runs(var):
         row = next(r for r in rows if r.metric == metric)
         assert row.mean == expected
         assert row.reps == 3 and row.sweep_var == var
+
+
+def test_unknown_sweep_variable_fails_before_any_cell(monkeypatch):
+    def no_cell(scenario):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(reporting, "run", no_cell)
+    with pytest.raises(ValidationError) as err:
+        run_sweep(Scenario(), tiny_sweep(), var="bogus")
+    assert err.value.field == "sweep.var"
 
 
 def test_sweep_spec_validation():
@@ -208,6 +220,21 @@ GOOD_VM = {"name": "a", "memory_gb": 2.0, "cores": 1,
            "max_bandwidth_mbps": 25.0, "hourly_cost": 0.05}
 
 
+def test_cli_run_prints_the_one_report_sweep_rows(tmp_path, capsys):
+    # with the sweep's window and count and one repetition, `run` and `sweep`
+    # run the same cell; a run that provisions no machine costs 0.0 in both
+    for count in (0, 5):
+        path = write_scenario(tmp_path, {
+            "workload": {"request_count": count, "arrival_window_s": 0.05},
+            "sweep": {"demand_points": [count], "policies": ["fws"],
+                      "repetitions": 1, "demand_window_s": 0.05}}, f"one{count}.json")
+        outputs = []
+        for command in ("run", "sweep"):
+            assert cli_main([command, "--scenario", path]) == 0, command
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], count
+
+
 def test_cli_validate_exit_codes(tmp_path, capsys):
     good = write_scenario(tmp_path, {"workload": {"request_count": 1}})
     assert cli_main(["validate", "--scenario", good]) == 0
@@ -266,6 +293,14 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"memory_gb": 0}, "catalog[0].memory_gb"),
                   ({"cores": 0}, "catalog[0].cores"),
                   ({"hourly_cost": -1}, "catalog[0].hourly_cost")]]
+    # both list sections name the first required key an entry lacks
+    cases += [({section: [entry]}, f"{section}[0]: missing {key!r}",
+               ("validate", "run"))
+              for section, entry, key in [
+                  ("catalog", {k: v for k, v in GOOD_VM.items() if k != "hourly_cost"},
+                   "hourly_cost"),
+                  ("chains", {"chain_id": 1}, "nodes"),
+                  ("chains", {"nodes": [1]}, "chain_id")]]
     # a null section is rejected like any other non-list
     cases += [({"catalog": None}, "catalog", ("validate", "run")),
               ({"chains": None}, "chains", ("validate", "run"))]
@@ -491,3 +526,34 @@ def test_cli_run_fuzz_exits_0_or_2(tmp_path_factory, raw):
     path.write_text(json.dumps(raw))
     assert cli_main(["run", "--scenario", str(path),
                      "--out", str(tmp / "out.csv")]) in (0, 2)
+
+
+PINNED_SCENARIO = {
+    "workload": {"request_count": 20, "rng_seed": 3},
+    "sweep": {"demand_points": [2, 4], "load_points": [0.2, 0.5],
+              "load_demand_count": 4, "policies": ["fws", "mfdt"],
+              "repetitions": 2, "demand_window_s": 0.05}}
+# sha256 of the stdout of each command on PINNED_SCENARIO: a change to the
+# rows, their order, or the csv or JSON rendering of any value fails here.
+PINNED_OUTPUT = {
+    ("run", "--format", "csv"):
+        "75eaa551cc8f4e110aecc676cb6bd8a2fbbdd10f339fa1c9b0411637793d8092",
+    ("run", "--format", "structured"):
+        "931c6216d196b57cd91731b26d63310b00011203c0dbe42a37f4c62c3270d9f1",
+    ("sweep", "--format", "csv"):
+        "f64ad825b185fc34454f9495bd6f109378b53db1ff5bc7d12c92798cde64a986",
+    ("sweep", "--format", "structured"):
+        "a35e411aac03886056979d879b325c7c8cacf955faa70ae0550dfcb4149c8135",
+    ("sweep", "--var", "load", "--format", "csv"):
+        "7c583868282441633df7e79d4e9e0658f8404571d31ea150bfff3cd7c77606fb",
+    ("sweep", "--var", "load", "--format", "structured"):
+        "6c0fcdf4b29e401cfbb05d92aff8880cc06f8192cf910cfcc3e2af0ab90829e5",
+}
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, PINNED_SCENARIO)
+    for args, digest in PINNED_OUTPUT.items():
+        assert cli_main([*args, "--scenario", scenario]) == 0, args
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
