@@ -6,25 +6,28 @@ at rate mu, Poisson arrivals at rate lambda.  The sojourn time is
     T = (1 / 2mu) * (2 - rho) / (1 - rho),   rho = lambda / mu
 
 which equals the service time 1/mu at zero load and diverges as rho -> 1.
-The default topology uses mu = 3125 packets/s on micro-cloud access links
-and mu = 12500 packets/s on the core mesh.
+The default topology, `TopologySpec()`, sets one mu on the micro-cloud
+access links and another on the core mesh.
 """
 
-from sfcsched import link_delay
+from sfcsched import TopologySpec, link_delay
+
+spec = TopologySpec()
+micro_mu, core_mu = spec.micro_link_mu_pps, spec.core_link_mu_pps
 
 print(f"{'rho':>5} {'micro link (ms)':>16} {'core link (ms)':>15}")
 for i in range(10):
     rho = i / 10
-    micro = link_delay(rho * 3125, 3125) * 1000
-    core = link_delay(rho * 12500, 12500) * 1000
+    micro = link_delay(rho * micro_mu, micro_mu) * 1000
+    core = link_delay(rho * core_mu, core_mu) * 1000
     print(f"{rho:5.1f} {micro:16.3f} {core:15.3f}")
 
 # The zero-load value is exactly the deterministic service time.
-assert link_delay(0, 3125) == 1 / 3125
+assert link_delay(0, micro_mu) == 1 / micro_mu
 
 # Delay grows without bound near saturation; the simulator therefore clamps
-# the effective utilisation (default 0.995) when links are overloaded by
+# the effective utilisation at spec.rho_max when links are overloaded by
 # in-flight transfers.
 print()
-for rho in (0.95, 0.99, 0.995):
-    print(f"rho={rho}: micro link delay {link_delay(rho * 3125, 3125) * 1000:7.2f} ms")
+for rho in (0.95, 0.99, spec.rho_max):
+    print(f"rho={rho}: micro link delay {link_delay(rho * micro_mu, micro_mu) * 1000:7.2f} ms")

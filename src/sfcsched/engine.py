@@ -25,7 +25,7 @@ from .chains import ServiceChain, ready_services
 from .fws import (TRANSITIVE, LabeledService, assign_labels, priority_key,
                   rank_key_fws, select_machine_fws)
 from .greedy import GREEDY_POLICIES, greedy_select_machine
-from .infrastructure import provision_machine
+from .infrastructure import default_topology, provision_machine
 from .metrics import MetricsReport, report
 from .scenario import Scenario, generate_workload, sample_service_defs
 
@@ -84,7 +84,7 @@ class SimulationRun:
         scenario.validate()
         self.scenario = scenario
         self.topology = topology if topology is not None \
-            else scenario.topology_spec.build()
+            else default_topology(scenario.topology_spec)
         self.topology.set_background_load(scenario.background_load_fraction)
         self.chains = {c.chain_id: c for c in scenario.chains}
         self.defs = service_defs if service_defs is not None \

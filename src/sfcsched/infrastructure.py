@@ -7,24 +7,49 @@ transfer model is `Topology.start_transfer`.
 """
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (NONNEGATIVE, POSITIVE, NodeFull, NonPositiveRate, NoPath,
-                     NotBuffered, UnstableQueue, checked, int_in)
+                     NotBuffered, UnstableQueue, ValidationError, check_fields,
+                     checked, int_in, is_number)
 
 MICRO = "micro"
 CORE = "core"
 
-# Per-link service rates in packets/second, scaled from the catalog bandwidths.
-CORE_LINK_MU_PPS = 12_500.0
-MICRO_LINK_MU_PPS = 3_125.0
+# Bounded so that a valid file's all-pairs route table builds in about 1 s.
+MAX_NODE_COUNT = 500
 
-MICRO_VM_SLOTS = 4
-CORE_VM_SLOTS = 32
+# Below the smallest normal float, rho_max * mu can round up to mu and the
+# delay clamp no longer holds a link below saturation.
+_LINK_RATE = (lambda v: is_number(v) and v >= sys.float_info.min,
+              f"must be a number >= {sys.float_info.min}")
 
-# Effective utilisation is clamped here when computing delays under overload.
-DEFAULT_RHO_MAX = 0.995
-DEFAULT_PACKET_KB = 8.0
+
+@dataclass
+class TopologySpec:
+    """The multi-cloud `default_topology` builds.  Each field is the one
+    statement of its parameter's default and rule, and a topology file key."""
+    micro_count: int = checked(int_in(1, MAX_NODE_COUNT), 16)
+    core_count: int = checked(int_in(1, MAX_NODE_COUNT), 4)
+    micro_slots: int = checked(int_in(1), 4)
+    core_slots: int = checked(int_in(1), 32)
+    # link service rates in packets/second, scaled from the catalog bandwidths
+    micro_link_mu_pps: float = checked(_LINK_RATE, 3_125.0)
+    core_link_mu_pps: float = checked(_LINK_RATE, 12_500.0)
+    # effective utilisation is clamped here when computing delays under overload
+    rho_max: float = checked((lambda v: is_number(v) and 0 < v < 1,
+                              "must lie in (0, 1)"), 0.995)
+    packet_kb: float = checked(POSITIVE, 8.0)
+
+    def validate(self):
+        check_fields(self, "topology")
+        # every core cloud fronts at least one micro-cloud
+        if self.micro_count < self.core_count:
+            raise ValidationError("topology.micro_count", "must be >= core_count")
+        if self.micro_count + self.core_count > MAX_NODE_COUNT:
+            raise ValidationError("topology.micro_count",
+                                  f"plus core_count must be <= {MAX_NODE_COUNT}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +113,7 @@ class Link:
     def lambda_pps(self):
         return self.background_pps + self.transfer_pps
 
-    def delay_s(self, rho_max=DEFAULT_RHO_MAX):
+    def delay_s(self, rho_max=TopologySpec.rho_max):
         """Current sojourn time; load clamped below saturation."""
         return _clamped_delay(self.lambda_pps, self.mu_pps, rho_max)
 
@@ -165,8 +190,8 @@ def _all_pairs_routes(adjacency):
 class Topology:
     """Cloud nodes plus undirected links with precomputed min-hop routes."""
 
-    def __init__(self, nodes, links, rho_max=DEFAULT_RHO_MAX,
-                 packet_kb=DEFAULT_PACKET_KB):
+    def __init__(self, nodes, links, rho_max=TopologySpec.rho_max,
+                 packet_kb=TopologySpec.packet_kb):
         self.nodes = {n.node_id: n for n in nodes}
         self.links = {}
         self.adj = {n.node_id: [] for n in nodes}
@@ -241,27 +266,24 @@ class Topology:
             link.transfer_pps = max(0.0, link.transfer_pps - rate_pps)
 
 
-def default_topology(micro_count=16, core_count=4,
-                     micro_slots=MICRO_VM_SLOTS, core_slots=CORE_VM_SLOTS,
-                     micro_link_mu_pps=MICRO_LINK_MU_PPS,
-                     core_link_mu_pps=CORE_LINK_MU_PPS,
-                     rho_max=DEFAULT_RHO_MAX, packet_kb=DEFAULT_PACKET_KB):
-    """16 edge micro-clouds (ids 0..15) behind 4 fully meshed core clouds.
-
-    Each core cloud fronts an equal share of the micro-clouds through one
-    access link apiece.
-    """
-    nodes = [CloudNode(i, MICRO, micro_slots) for i in range(micro_count)]
-    nodes += [CloudNode(micro_count + j, CORE, core_slots) for j in range(core_count)]
+def default_topology(spec=None):
+    """The multi-cloud of ``spec``, `TopologySpec()` when None: micro-clouds
+    (ids from 0) behind fully meshed core clouds, each core cloud fronting an
+    equal share of the micro-clouds through one access link apiece."""
+    if spec is None:
+        spec = TopologySpec()
+    n_micro, n_core = spec.micro_count, spec.core_count
+    nodes = [CloudNode(i, MICRO, spec.micro_slots) for i in range(n_micro)]
+    nodes += [CloudNode(n_micro + j, CORE, spec.core_slots) for j in range(n_core)]
     links = []
-    for j in range(core_count):
-        for k in range(j + 1, core_count):
-            links.append(Link((micro_count + j, micro_count + k), core_link_mu_pps))
-    per_core = micro_count // core_count
-    for i in range(micro_count):
-        core = micro_count + min(i // per_core, core_count - 1)
-        links.append(Link((i, core), micro_link_mu_pps))
-    return Topology(nodes, links, rho_max=rho_max, packet_kb=packet_kb)
+    for j in range(n_core):
+        for k in range(j + 1, n_core):
+            links.append(Link((n_micro + j, n_micro + k), spec.core_link_mu_pps))
+    per_core = n_micro // n_core
+    for i in range(n_micro):
+        core = n_micro + min(i // per_core, n_core - 1)
+        links.append(Link((i, core), spec.micro_link_mu_pps))
+    return Topology(nodes, links, rho_max=spec.rho_max, packet_kb=spec.packet_kb)
 
 
 def provision_choice(demand_memory_gb, demand_cores, near_nodes, topology, catalog):

@@ -71,8 +71,9 @@ def accumulate_traffic(placements, chain_of_instance, defs) -> float:
 
 
 def total_cost(machines) -> float:
-    """Hourly cost of every machine provisioned during the run."""
-    return sum(m.vm_type.hourly_cost for m in machines)
+    """Hourly cost of every machine provisioned during the run; a float
+    even when there is none."""
+    return sum((m.vm_type.hourly_cost for m in machines), 0.0)
 
 
 def _attributed_costs(sim):

@@ -16,9 +16,9 @@ from .errors import (POSITIVE, CycleDetected, DanglingEdge, IoError, ParseError,
                      ValidationError, check_fields, checked, int_in, is_int,
                      is_number, list_of, section_keys)
 from .fws import WeightParams
-from .infrastructure import VmType
+from .infrastructure import TopologySpec, VmType
 from .metrics import METRIC_NAMES
-from .scenario import MAX_REQUEST_COUNT, POLICY_NAMES, Scenario, TopologySpec
+from .scenario import MAX_REQUEST_COUNT, POLICY_NAMES, Scenario
 
 # Demand sweeps hold the arrival window fixed so the offered rate scales
 # with the demand count.

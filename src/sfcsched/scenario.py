@@ -8,62 +8,27 @@ are identical.
 
 import math
 import random
-import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .chains import MicroServiceDef, UserRequest, canonical_sfcs
 from .errors import (NONNEGATIVE, POSITIVE, ValidationError, check_fields, checked,
                      int_in, is_int, is_number, list_of)
 from .fws import WeightParams
 from .greedy import GREEDY_POLICIES
-from .infrastructure import (CORE_LINK_MU_PPS, CORE_VM_SLOTS, DEFAULT_PACKET_KB,
-                             DEFAULT_RHO_MAX, MICRO_LINK_MU_PPS, MICRO_VM_SLOTS,
-                             default_catalog, default_topology)
+from .infrastructure import TopologySpec, default_catalog
 
 POLICY_NAMES = ("fws", *GREEDY_POLICIES)
-# Count bounds, so every valid file runs to an end: 2,000x the paper's top
-# demand point, and nodes whose all-pairs route table builds in about 1 s.
+# 2,000x the paper's top demand point, so every valid file runs to an end.
 MAX_REQUEST_COUNT = 10_000_000
-MAX_NODE_COUNT = 500
 # The clock is a float of milliseconds.  Near the end of the workload its
 # step, math.ulp of the horizon, must stay this small a fraction of the
 # shortest execution time, or finish times round to their dispatch times
 # and a run reports zero turnaround and cost.
 CLOCK_RESOLUTION = 1e-6
 
-# Below the smallest normal float, rho_max * mu can round up to mu and the
-# delay clamp no longer holds a link below saturation.
-_LINK_RATE = (lambda v: is_number(v) and v >= sys.float_info.min,
-              f"must be a number >= {sys.float_info.min}")
 _RANGE = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
           and all(map(is_number, v)) and 0 < v[0] <= v[1],
           "must be a [lo, hi] pair with 0 < lo <= hi")
-
-
-@dataclass
-class TopologySpec:
-    micro_count: int = checked(int_in(1, MAX_NODE_COUNT), 16)
-    core_count: int = checked(int_in(1, MAX_NODE_COUNT), 4)
-    micro_slots: int = checked(int_in(1), MICRO_VM_SLOTS)
-    core_slots: int = checked(int_in(1), CORE_VM_SLOTS)
-    micro_link_mu_pps: float = checked(_LINK_RATE, MICRO_LINK_MU_PPS)
-    core_link_mu_pps: float = checked(_LINK_RATE, CORE_LINK_MU_PPS)
-    rho_max: float = checked((lambda v: is_number(v) and 0 < v < 1,
-                              "must lie in (0, 1)"), DEFAULT_RHO_MAX)
-    packet_kb: float = checked(POSITIVE, DEFAULT_PACKET_KB)
-
-    def build(self):
-        # each field is the default_topology parameter of its name
-        return default_topology(**asdict(self))
-
-    def validate(self):
-        check_fields(self, "topology")
-        # every core cloud fronts at least one micro-cloud
-        if self.micro_count < self.core_count:
-            raise ValidationError("topology.micro_count", "must be >= core_count")
-        if self.micro_count + self.core_count > MAX_NODE_COUNT:
-            raise ValidationError("topology.micro_count",
-                                  f"plus core_count must be <= {MAX_NODE_COUNT}")
 
 
 @dataclass

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from sfcsched import infrastructure
 from sfcsched.errors import (NodeFull, NonPositiveRate, NoPath, NotBuffered,
                              UnstableQueue)
-from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology, VmType,
-                                     default_catalog, default_topology,
-                                     link_delay, nearest_vm_type,
-                                     provision_machine)
+from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology,
+                                     TopologySpec, VmType, default_catalog,
+                                     default_topology, link_delay,
+                                     nearest_vm_type, provision_machine)
 
 
 def md1_alternate_form(lam, mu):
@@ -162,6 +162,34 @@ def test_default_topology_shape():
             assert topo.hops(a, b) <= 3
 
 
+def test_every_spec_field_reaches_the_built_topology():
+    spec = TopologySpec(micro_count=6, core_count=3, micro_slots=2, core_slots=7,
+                        micro_link_mu_pps=1000.0, core_link_mu_pps=9000.0,
+                        rho_max=0.9, packet_kb=4.0)
+    default = TopologySpec()
+    assert all(getattr(spec, f) != getattr(default, f) for f in vars(default))
+    topo = default_topology(spec)
+    kinds = [n.kind for n in topo.nodes.values()]
+    assert kinds.count("micro") == 6 and kinds.count("core") == 3
+    assert {n.vm_slots for n in topo.nodes.values() if n.kind == "micro"} == {2}
+    assert {n.vm_slots for n in topo.nodes.values() if n.kind == "core"} == {7}
+    mesh = [link for link in topo.links.values() if min(link.endpoints) >= 6]
+    access = [link for link in topo.links.values() if min(link.endpoints) < 6]
+    assert len(mesh) == 3 and {link.mu_pps for link in mesh} == {9000.0}
+    assert len(access) == 6 and {link.mu_pps for link in access} == {1000.0}
+    assert (topo.rho_max, topo.packet_kb) == (0.9, 4.0)
+    assert topo.line_rate_pps(25.0) == 25.0 * 1000.0 / 4.0
+    # an overloaded link is clamped at the spec's rho_max
+    access[0].transfer_pps = 1e6
+    assert topo.path_delay_s(*access[0].endpoints) == link_delay(900.0, 1000.0)
+
+    # a hand-built topology takes the spec's defaults
+    hand = Topology([CloudNode(0, "micro", 1), CloudNode(1, "micro", 1)],
+                    [Link((0, 1), 10.0)])
+    assert (hand.rho_max, hand.packet_kb) == (default.rho_max, default.packet_kb)
+    assert default_topology().rho_max == default.rho_max
+
+
 def test_route_table_is_shared_per_topology_shape():
     a, b = default_topology(), default_topology()
     assert a._routes is b._routes
@@ -173,7 +201,7 @@ def test_route_table_is_shared_per_topology_shape():
     assert b.links[route[0]].lambda_pps == 0.0
     assert a.path_delay_s(0, 19) > b.path_delay_s(0, 19)
 
-    small = default_topology(micro_count=4, core_count=2)
+    small = default_topology(TopologySpec(micro_count=4, core_count=2))
     assert small._routes is not a._routes
     shape = tuple((n, tuple(small.adj[n])) for n in sorted(small.adj))
     assert small._routes == infrastructure._all_pairs_routes.__wrapped__(shape)

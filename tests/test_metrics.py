@@ -4,10 +4,11 @@ from types import SimpleNamespace
 import pytest
 
 from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest
-from sfcsched.engine import Placement
+from sfcsched.engine import Placement, run
 from sfcsched.infrastructure import Machine, default_catalog, default_topology
 from sfcsched.metrics import (_replay_boot_and_transfers, accumulate_traffic,
                               check_sla, total_cost)
+from sfcsched.scenario import Scenario
 
 
 def place(iid, sid, mid):
@@ -70,6 +71,12 @@ def test_total_cost_examples():
     assert total_cost([]) == 0.0
     mixed = [catalog_machine("t2.medium", 0), catalog_machine("m4.large", 1)]
     assert total_cost(mixed) == pytest.approx(0.208)
+
+
+def test_total_cost_is_a_float_with_no_machine():
+    empty_run = run(Scenario(request_count=0)).total_cost_per_hour
+    for cost in (total_cost([]), empty_run):
+        assert cost == 0.0 and type(cost) is float
 
 
 def test_replay_accepts_either_load_at_an_exact_transfer_end():

@@ -42,6 +42,8 @@ def test_tracer_hooks_count_a_run_and_uninstall_cleanly():
 
     counts = tracer.counts()
     assert counts["engine.execute.calls"] == 2
+    # the engine reaches the builder through the name the tracer patches
+    assert counts["infrastructure.default_topology.calls"] == 2
     assert counts["fws.select_machine_fws.calls"] > 0
     assert counts["greedy.greedy_select_machine.calls"] > 0
     assert counts["engine.select_calls"] == (counts["fws.select_machine_fws.calls"]

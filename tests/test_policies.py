@@ -7,9 +7,9 @@ from sfcsched.fws import (LabeledService, WeightParams, assign_labels,
                           compute_weight, priority_key, select_machine_fws)
 from sfcsched.greedy import (GREEDY_POLICIES, decreasing_time, first_finish,
                              greedy_select_machine, least_full, most_full)
-from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology, VmType,
-                                     default_catalog, default_topology,
-                                     nearest_vm_type)
+from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology,
+                                     TopologySpec, VmType, default_catalog,
+                                     default_topology, nearest_vm_type)
 
 
 def naive_labels(chain, exec_time_ms):
@@ -366,8 +366,8 @@ def test_single_loop_selection_matches_list_based_oracle():
     catalog = default_catalog()
     now_ms = 100.0
     for _ in range(3000):
-        topology = default_topology(micro_count=4, core_count=2,
-                                    micro_slots=2, core_slots=3)
+        topology = default_topology(TopologySpec(micro_count=4, core_count=2,
+                                                 micro_slots=2, core_slots=3))
         for node in topology.nodes.values():
             node.used_slots = rng.choice((0, node.vm_slots))
         for link in topology.links.values():

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from sfcsched import reporting
 from sfcsched.cli import main as cli_main
 from sfcsched.engine import run
-from sfcsched.errors import ParseError, ValidationError
+from sfcsched.errors import ParseError, ValidationError, section_keys
+from sfcsched.fws import WeightParams
+from sfcsched.infrastructure import TopologySpec
 from sfcsched.metrics import METRIC_NAMES
 from sfcsched.reporting import (_CATALOG_KEYS, _CHAIN_KEYS, _FWS_KEYS, _SWEEP_KEYS,
                                 _TOPOLOGY_KEYS, _WORKLOAD_KEYS, SweepSpec,
@@ -383,11 +385,17 @@ def test_readme_example_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     start = readme.index("```json\n", readme.index("## Scenario files")) + 8
     raw = json.loads(readme[start:readme.index("```", start)])
-    sweep_from_dict(raw, scenario_from_dict(raw))
+    scenario = scenario_from_dict(raw)
     assert set(raw) == set(KEY_TABLES)
     for name, keys in KEY_TABLES.items():
         for body in (raw[name] if name in ("catalog", "chains") else [raw[name]]):
             assert sorted(body) == sorted(keys), name
+    # the README says these sections hold the defaults
+    assert scenario.topology_spec == TopologySpec()
+    assert scenario.weights == WeightParams()
+    assert sweep_from_dict(raw, scenario) == SweepSpec()
+    for key in _WORKLOAD_KEYS + section_keys(Scenario, "fws"):
+        assert getattr(scenario, key) == getattr(Scenario(), key), key
 
 
 def test_cli_empty_scenario_path_is_unreadable(capsys):
