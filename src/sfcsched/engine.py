@@ -129,9 +129,9 @@ class SimulationRun:
         self._greedy = scenario.policy in GREEDY_POLICIES
         self._rank_key, self._priority_key = GREEDY_POLICIES.get(
             scenario.policy, (rank_key_fws, priority_key(scenario.weights)))
-        # Selection sees only `ranked`: the free-core machines in the policy's
-        # order (a core-full machine fits no demand; every service needs a
-        # core).  Keys alongside, for bisection; `_rank_of`: id -> key or None.
+        # Selection sees only `ranked`: the active free-core machines in the policy's
+        # order (a core-full machine fits no demand; every service needs a core).
+        # Keys alongside, for bisection; `_rank_of`: id -> key or None.
         self.ranked, self._ranked_keys, self._rank_of = [], [], {}
         # (memory_gb, cores) demands that found no machine; see _dispatch
         self._failed = set()
@@ -201,9 +201,7 @@ class SimulationRun:
         sdef = self.defs[service_id]
         machine.buffer_service((instance_id, service_id),
                                sdef.memory_gb, sdef.cores)
-        self._rerank(machine)
-        if self._failed:
-            self._unmemo(machine)
+        self._freed(machine)
         state.remaining -= 1
         if not state.dropped:
             if state.remaining == 0:
@@ -232,15 +230,15 @@ class SimulationRun:
     def _dispatch(self):
         """One pass over the ready queue, which is kept in priority order.
 
-        A selection fails, with no side effects, only when no active machine
-        fits the (memory, cores) demand and no node can take a machine of a
-        type covering it.  Node slots are never freed, placements only take
-        capacity and link load decides no fit, so a failed demand joins
-        `_failed` and stays unplaceable across passes until a release on a
-        machine that then fits it (`_on_finish`) or the boot of one (popped
-        from `_booting` here).  Entries with a memoised demand skip selection
-        and go straight to the SLA-drop check.  The entries neither placed
-        nor dropped, still in order, form the next queue.
+        A selection fails, with no side effects, only when no machine in
+        `ranked` fits the (memory, cores) demand and no node can take a machine
+        of a type covering it.  Node slots are never freed, placements only
+        take capacity and link load decides no fit, so a failed demand joins
+        `_failed` and stays unplaceable across passes until `_freed` frees a
+        machine that then fits it: a release (`_on_finish`) or its boot, which
+        ends here, as `_booting` pops it into `ranked`.  Entries with a memoised
+        demand skip selection and go straight to the SLA-drop check.  The
+        entries neither placed nor dropped, still in order, form the next queue.
 
         After a walked pass every waiting demand is memoised, so until an
         unmemoised demand is enqueued or a demand is retried, a pass can
@@ -251,7 +249,7 @@ class SimulationRun:
         before it returns at once.
         """
         while self._booting and self._booting[0][0] <= self.now:
-            self._unmemo(self.machines[heapq.heappop(self._booting)[1]])
+            self._freed(self.machines[heapq.heappop(self._booting)[1]])
         if self.now < self._walk_at:
             return
         now = self.now
@@ -280,22 +278,22 @@ class SimulationRun:
         self.ready = waiting
         self._walk_at = next_drop
 
-    def _unmemo(self, machine):
-        """Retry every failed demand that the active `machine` now fits."""
-        fit = {d for d in self._failed if machine.fits(*d)}
-        if fit:
-            self._failed -= fit
-            self._walk_at = -math.inf
+    def _freed(self, machine):
+        """Re-rank `machine` after a release or its boot; retry demands it fits."""
+        self._rerank(machine)
+        if self._failed:
+            fit = {d for d in self._failed if machine.fits(*d)}
+            if fit:
+                self._failed -= fit
+                self._walk_at = -math.inf
 
     def _select_machine(self, entry, preds):
         sdef = self.defs[entry.service_id]
         if self._greedy:
-            return greedy_select_machine(
-                sdef.memory_gb, sdef.cores, self.ranked, self.topology,
-                self.scenario.catalog, self.now)
-        return select_machine_fws(
-            sdef.memory_gb, sdef.cores, preds,
-            self.ranked, self.topology, self.scenario.catalog, self.now)
+            return greedy_select_machine(sdef.memory_gb, sdef.cores, self.ranked,
+                                         self.topology, self.scenario.catalog)
+        return select_machine_fws(sdef.memory_gb, sdef.cores, preds, self.ranked,
+                                  self.topology, self.scenario.catalog)
 
     def _pred_placements(self, entry):
         """(pred, machine, data_out_kb) per predecessor, in ascending id
@@ -315,9 +313,9 @@ class SimulationRun:
         return machine
 
     def _rerank(self, machine):
-        """Keep `ranked` in order after a machine is provisioned or loaded."""
-        key = self._rank_key(machine) \
-            if machine.used_cores < machine.vm_type.cores else None
+        """Keep `ranked` in order: the active machines with a free core."""
+        key = self._rank_key(machine) if machine.active_at_ms <= self.now \
+            and machine.used_cores < machine.vm_type.cores else None
         old = self._rank_of.get(machine.machine_id)
         if key == old:
             return
@@ -340,14 +338,13 @@ class SimulationRun:
             raise AssertionError(f"{key} placed twice")
         t = self.now
         sdef = self.defs[entry.service_id]
+        boot_ms = 0.0  # a selected machine is active; only a new one boots
         if choice[0] == "provision":
             _, node_id, vm_type = choice
-            machine = self._provision(
-                node_id, vm_type, active_at_ms=t + self.scenario.provision_latency_ms)
             boot_ms = self.scenario.provision_latency_ms
+            machine = self._provision(node_id, vm_type, active_at_ms=t + boot_ms)
         else:
             machine = choice[1]
-            boot_ms = max(0.0, machine.active_at_ms - t)
         machine.allocate(key, sdef.memory_gb, sdef.cores)
         self._rerank(machine)
 

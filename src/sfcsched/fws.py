@@ -107,15 +107,16 @@ rank_key_fws = operator.attrgetter("machine_id")
 
 
 def select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
-                       machines, topology, catalog, now_ms):
+                       machines, topology, catalog):
     """Affinity-first machine choice.
 
     (a) a predecessor's machine with room; only when none has room, (b) any
     machine with room; both keep the one adding the least hop-weighted
     traffic, ties to the lowest machine id, whatever the order of
     `machines`.  (c) `provision_choice` on the free-slot node closest to the
-    predecessors.  `machines` holds every machine with a free core; a
-    predecessor machine missing from it is core-full and fits no demand, as
+    predecessors.  `machines` holds the machines that can take work now:
+    active, with a free core.  A predecessor's machine has run it, so is
+    active; one missing from `machines` is core-full and fits no demand, as
     every service needs a core.  Returns ("existing", machine), ("provision",
     node_id, vm_type), or None if every node is full or no type covers it.
     """
@@ -125,8 +126,7 @@ def select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
         for m in candidates:
             vm = m.vm_type
             # Machine.fits, inlined for this hot loop
-            if not (m.active_at_ms <= now_ms
-                    and m.used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
+            if not (m.used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
                     and m.used_cores + demand_cores <= vm.cores):
                 continue
             cost = objective.get(m.node_id)

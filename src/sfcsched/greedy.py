@@ -15,22 +15,14 @@ consult affinity or inter-machine traffic.
 from .infrastructure import provision_choice
 
 
-def _by_utilization(sign):
-    """Machine order by utilization (the larger of the memory and core
-    shares), ascending for sign 1.0 and descending for -1.0, ties to the
-    lowest machine id.  Float residue left in used memory counts as load;
-    -0.0 and 0.0 tie."""
-    def key(m):
-        vm = m.vm_type
-        memory_util = m.used_memory_gb / vm.memory_gb
-        core_util = m.used_cores / vm.cores
-        return (sign * (memory_util if memory_util >= core_util else core_util),
-                m.machine_id)
-    return key
+def least_full(m):
+    """Machine order: ascending utilization, ties to the lowest machine id."""
+    return (m.utilization(), m.machine_id)
 
 
-least_full = _by_utilization(1.0)
-most_full = _by_utilization(-1.0)
+def most_full(m):
+    """Machine order: descending utilization, ties to the lowest machine id."""
+    return (-m.utilization(), m.machine_id)
 
 
 def first_finish(e):
@@ -53,21 +45,20 @@ GREEDY_POLICIES = {
 
 
 def greedy_select_machine(demand_memory_gb, demand_cores, machines,
-                          topology, catalog, now_ms):
+                          topology, catalog):
     """Utilization-biased machine choice with a provisioning fallback.
 
-    `machines` is in the policy's machine order (`least_full` or
-    `most_full`), so the first active machine with room is the least (or
-    most) utilized one.  With none, `provision_choice` with no
-    predecessors: the lowest free node.  Returns ("existing", machine) or
+    `machines` holds the machines that can take work now (active, with a
+    free core) in the policy's machine order, so the first machine with room
+    is the least (or most) utilized one.  With none, `provision_choice` with
+    no predecessors: the lowest free node.  Returns ("existing", machine) or
     ("provision", node_id, vm_type), or None when no machine fits and every
     node is full or no catalog type covers the demand.
     """
     for m in machines:
         vm = m.vm_type
         # Machine.fits, inlined for this hot loop
-        if (m.active_at_ms <= now_ms
-                and m.used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
+        if (m.used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
                 and m.used_cores + demand_cores <= vm.cores):
             return ("existing", m)
     return provision_choice(demand_memory_gb, demand_cores, (), topology, catalog)

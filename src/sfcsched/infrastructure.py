@@ -145,7 +145,8 @@ class Machine:
                 and self.used_cores + cores <= self.vm_type.cores)
 
     def utilization(self):
-        """Max over resource dimensions, the binding constraint in [0, 1]."""
+        """Max over resource dimensions, the binding constraint in [0, 1].
+        Float residue in used memory counts as load; -0.0 and 0.0 tie."""
         return max(self.used_memory_gb / self.vm_type.memory_gb,
                    self.used_cores / self.vm_type.cores)
 
@@ -272,6 +273,7 @@ def default_topology(spec=None):
     equal share of the micro-clouds through one access link apiece."""
     if spec is None:
         spec = TopologySpec()
+    spec.validate()
     n_micro, n_core = spec.micro_count, spec.core_count
     nodes = [CloudNode(i, MICRO, spec.micro_slots) for i in range(n_micro)]
     nodes += [CloudNode(n_micro + j, CORE, spec.core_slots) for j in range(n_core)]

@@ -361,6 +361,18 @@ def test_machine_that_finishes_booting_retries_a_failed_demand(monkeypatch):
     assert sim.placements[-1].machine_id == 0 and sim._booting == []
 
 
+def test_booting_machine_joins_ranked_at_its_boot_pass():
+    sim = two_slot_run([ServiceChain(1, {1}, set())],
+                       {1: MicroServiceDef(1, 500.0, 10.0, 1.0, 1)},
+                       catalog=[VmType("wide", 8.0, 4, 25.0, 0.2)])
+    arrive(sim, 0, 1, 0.0)
+    machine = sim.machines[0]
+    assert machine.active_at_ms > 0.0 and machine not in sim.ranked
+    sim.now = machine.active_at_ms
+    sim._dispatch()
+    assert machine in sim.ranked and sim._booting == []
+
+
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
 
@@ -619,7 +631,8 @@ def test_selection_sees_free_core_machines_in_policy_order(monkeypatch):
 
         def check(kind, machines):
             calls[kind] += 1
-            free = [m for m in sim.machines if m.used_cores < m.vm_type.cores]
+            free = [m for m in sim.machines if m.used_cores < m.vm_type.cores
+                    and m.active_at_ms <= sim.now]
             assert machines == sorted(free, key=key)
 
         def checked_greedy(demand_memory_gb, demand_cores, machines, *rest):

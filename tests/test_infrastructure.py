@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sfcsched import infrastructure
 from sfcsched.errors import (NodeFull, NonPositiveRate, NoPath, NotBuffered,
-                             UnstableQueue)
+                             UnstableQueue, ValidationError)
 from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology,
                                      TopologySpec, VmType, default_catalog,
                                      default_topology, link_delay,
@@ -188,6 +188,18 @@ def test_every_spec_field_reaches_the_built_topology():
                     [Link((0, 1), 10.0)])
     assert (hand.rho_max, hand.packet_kb) == (default.rho_max, default.packet_kb)
     assert default_topology().rho_max == default.rho_max
+
+
+@pytest.mark.parametrize("spec, path", [
+    (TopologySpec(micro_count=2, core_count=4), "topology.micro_count"),
+    (TopologySpec(micro_count=0), "topology.micro_count"),
+    (TopologySpec(rho_max=1.5), "topology.rho_max"),
+    (TopologySpec(micro_slots=0), "topology.micro_slots"),
+])
+def test_default_topology_rejects_an_invalid_spec(spec, path):
+    with pytest.raises(ValidationError) as err:
+        default_topology(spec)
+    assert err.value.field == path
 
 
 def test_route_table_is_shared_per_topology_shape():

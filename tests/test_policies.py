@@ -139,7 +139,7 @@ def test_fws_affinity_rule_takes_predecessor_machine():
     m1 = Machine(1, 1, SMALL)
     preds = [(3, m0, 10.0)]
     kind, chosen = select_machine_fws(1.0, 1, preds, [m0, m1], topo,
-                                      default_catalog(), now_ms=0.0)
+                                      default_catalog())
     assert kind == "existing" and chosen is m0
 
 
@@ -151,7 +151,7 @@ def test_fws_traffic_rule_prefers_same_node():
     m_far = Machine(2, 1, SMALL)
     preds = [(3, m0, 10.0)]
     kind, chosen = select_machine_fws(1.0, 1, preds, [m0, m_same_node, m_far],
-                                      topo, default_catalog(), now_ms=0.0)
+                                      topo, default_catalog())
     assert kind == "existing" and chosen is m_same_node
     # brute-force the hop-weighted objective over both candidates
     hops = {m_same_node.machine_id: topo.hops(0, 0), m_far.machine_id: topo.hops(0, 1)}
@@ -160,7 +160,7 @@ def test_fws_traffic_rule_prefers_same_node():
 
 def test_fws_cold_start_provisions_lowest_node():
     topo = two_node_topology()
-    result = select_machine_fws(1.5, 1, [], [], topo, default_catalog(), 0.0)
+    result = select_machine_fws(1.5, 1, [], [], topo, default_catalog())
     assert result == ("provision", 0, SMALL)
 
 
@@ -171,7 +171,7 @@ def test_fws_every_node_full_returns_none():
     full = Machine(0, 0, SMALL)
     full.allocate((0, 1), 1.9, 1)
     assert select_machine_fws(1.0, 1, [], [full], topo,
-                              default_catalog(), 0.0) is None
+                              default_catalog()) is None
 
 
 def test_greedy_service_bias_examples():
@@ -195,9 +195,9 @@ def test_greedy_machine_bias_examples():
     low.allocate((0, 1), 0.8, 0)      # memory-only load: utilization 0.2
     high = Machine(1, 0, medium)
     high.allocate((0, 2), 3.2, 0)     # utilization 0.8
-    _, m = greedy_select_machine(0.5, 1, [low, high], topo, default_catalog(), 0.0)
+    _, m = greedy_select_machine(0.5, 1, [low, high], topo, default_catalog())
     assert m is low
-    _, m = greedy_select_machine(0.5, 1, [high, low], topo, default_catalog(), 0.0)
+    _, m = greedy_select_machine(0.5, 1, [high, low], topo, default_catalog())
     assert m is high
     assert sorted([high, low], key=least_full) == [low, high]
     assert sorted([low, high], key=most_full) == [high, low]
@@ -211,18 +211,18 @@ def test_greedy_most_full_respects_feasibility():
     roomy.allocate((0, 2), 1.0, 1)
     machines = sorted([roomy, full], key=most_full)
     assert machines == [full, roomy]
-    _, m = greedy_select_machine(1.0, 1, machines, topo, default_catalog(), 0.0)
+    _, m = greedy_select_machine(1.0, 1, machines, topo, default_catalog())
     assert m is roomy
 
 
 def test_greedy_provisions_on_lowest_free_node():
     topo = two_node_topology()
     topo.nodes[0].used_slots = topo.nodes[0].vm_slots
-    result = greedy_select_machine(1.0, 1, [], topo, default_catalog(), 0.0)
+    result = greedy_select_machine(1.0, 1, [], topo, default_catalog())
     assert result == ("provision", 1, SMALL)
     for node in topo.nodes.values():
         node.used_slots = node.vm_slots
-    assert greedy_select_machine(1.0, 1, [], topo, default_catalog(), 0.0) is None
+    assert greedy_select_machine(1.0, 1, [], topo, default_catalog()) is None
 
 
 def test_uncovered_demand_gets_no_machine():
@@ -231,9 +231,9 @@ def test_uncovered_demand_gets_no_machine():
     m0 = Machine(0, 0, SMALL)
     for demand in ((64.0, 1), (1.0, 32)):
         assert select_machine_fws(*demand, [(3, m0, 10.0)], [m0], topo,
-                                  default_catalog(), 0.0) is None
+                                  default_catalog()) is None
         assert greedy_select_machine(*demand, [m0], topo,
-                                     default_catalog(), 0.0) is None
+                                     default_catalog()) is None
 
 
 def test_policy_registry_has_exactly_four():
@@ -373,15 +373,18 @@ def test_single_loop_selection_matches_list_based_oracle():
         for link in topology.links.values():
             link.background_pps = rng.choice((0.0, 0.5)) * link.mu_pps
         machines = random_machines(rng, topology, catalog, now_ms)
+        # the engine passes only the machines that can take work now; the
+        # oracles see every machine and filter by the clock themselves
+        active = [m for m in machines if m.active_at_ms <= now_ms]
         demand = (rng.choice((0.5, 1.0, 2.0, 4.0, 16.0)), rng.choice((1, 2)))
         for bias, order in ((LEAST_FULL, least_full), (MOST_FULL, most_full)):
             args = (*demand, machines, bias, topology, catalog, now_ms)
             assert outcome(greedy_select_machine, *demand,
-                           sorted(machines, key=order),
-                           topology, catalog, now_ms) == \
+                           sorted(active, key=order), topology, catalog) == \
                 outcome(oracle_greedy_select_machine, *args)
-        preds = [(sid, rng.choice(machines), rng.choice((5.0, 10.0, 12.5)))
-                 for sid in range(rng.randint(0, 3) if machines else 0)]
-        args = (*demand, preds, machines, topology, catalog, now_ms)
-        assert outcome(select_machine_fws, *args) == \
-            outcome(oracle_select_machine_fws, *args)
+        preds = [(sid, rng.choice(active), rng.choice((5.0, 10.0, 12.5)))
+                 for sid in range(rng.randint(0, 3) if active else 0)]
+        assert outcome(select_machine_fws, *demand, preds, active, topology,
+                       catalog) == \
+            outcome(oracle_select_machine_fws, *demand, preds, machines,
+                    topology, catalog, now_ms)
