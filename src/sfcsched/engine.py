@@ -98,21 +98,25 @@ class SimulationRun:
                                        for sid in chain.nodes})
             for cid, chain in self.chains.items()}
         # Per-service facts, tabled once: (chain_id, service_id) -> (label,
-        # dependents in the run's mode, def, ((pred, its data_out_kb), ...)),
-        # and per chain the unfinished-predecessor counts an arrival copies.
+        # dependents in the run's mode, def, ((pred, its data_out_kb), ...),
+        # (memory_gb, cores) demand), and per chain the unfinished-predecessor
+        # counts an arrival copies.
         dependents = ServiceChain.transitive_dependents \
             if scenario.weights.dependents == TRANSITIVE \
             else ServiceChain.immediate_dependents
         self._services = {
             (cid, sid): (self.labels[cid][sid], dependents(chain, sid), self.defs[sid],
                          tuple((p, self.defs[p].data_out_kb)
-                               for p in chain.predecessors(sid)))
+                               for p in chain.predecessors(sid)),
+                         (self.defs[sid].memory_gb, self.defs[sid].cores))
             for cid, chain in self.chains.items() for sid in chain.nodes}
         self._templates = {
             cid: ({sid: len(chain.predecessors(sid)) for sid in chain.nodes},
                   chain.sources())
             for cid, chain in self.chains.items()}
 
+        # A 30th instance attribute slows every `self.` access on CPython 3.11
+        # (about 6% on sweep cells): new state goes inside an existing one.
         self.now = 0.0
         self._seq = 0
         self._events = []          # heap of (time_ms, kind, seq, payload)
@@ -133,8 +137,9 @@ class SimulationRun:
         # order (a core-full machine fits no demand; every service needs a core).
         # Keys alongside, for bisection; `_rank_of`: id -> key or None.
         self.ranked, self._ranked_keys, self._rank_of = [], [], {}
-        # (memory_gb, cores) demands that found no machine; see _dispatch
-        self._failed = set()
+        # (memory_gb, cores) demand that found no machine -> the machines
+        # freed since that fit it, {machine_id: machine}; see _dispatch
+        self._failed = {}
         self._booting = []         # heap of (active_at_ms, machine_id)
         # no pass before this time can change anything; see _dispatch
         self._walk_at = math.inf
@@ -179,10 +184,10 @@ class SimulationRun:
         # Anything still queued can never be placed: no capacity-releasing
         # event remains.  Those requests count as dropped.
         for entry in self.ready:
-            state = self.states[entry.instance_id]
-            if not state.dropped:
-                self._drop(state)
+            if not entry.state.dropped:
+                self._drop(entry.state)
         self.ready.clear()
+        self._failed.clear()
         return report(self)
 
     def _on_arrival(self, request):
@@ -218,31 +223,40 @@ class SimulationRun:
 
     def _enqueue(self, state, service_id):
         request = state.request
-        label, dependents, sdef, _ = self._services[request.chain_id, service_id]
-        if (sdef.memory_gb, sdef.cores) not in self._failed:
+        label, dependents, sdef, _, demand = \
+            self._services[request.chain_id, service_id]
+        # unmemoised, or with machines to retry: the next pass must walk
+        if demand not in self._failed or self._failed[demand]:
             self._walk_at = -math.inf
         elif state.drop_at < self._walk_at:
             self._walk_at = state.drop_at
         bisect.insort(self.ready, LabeledService(
             request.request_id, service_id, label, self.now,
-            sdef.exec_time_ms, dependents), key=self._priority_key)
+            sdef.exec_time_ms, dependents, state, demand), key=self._priority_key)
 
     def _dispatch(self):
         """One pass over the ready queue, which is kept in priority order.
 
-        A selection fails, with no side effects, only when no machine in
-        `ranked` fits the (memory, cores) demand and no node can take a machine
-        of a type covering it.  Node slots are never freed, placements only
-        take capacity and link load decides no fit, so a failed demand joins
-        `_failed` and stays unplaceable across passes until `_freed` frees a
-        machine that then fits it: a release (`_on_finish`) or its boot, which
-        ends here, as `_booting` pops it into `ranked`.  Entries with a memoised
-        demand skip selection and go straight to the SLA-drop check.  The
-        entries neither placed nor dropped, still in order, form the next queue.
+        Selection is passed the machines in `ranked` (active, with a free
+        core) in policy order, including every one that fits the demand.
+        It fails, with no side effects, only when no machine it is passed
+        fits the (memory, cores) demand and no node can take a machine of a
+        type covering it.  Node slots are never freed, placements only take
+        capacity and link load decides no fit, so after a failure only a
+        machine that `_freed` handles can fit the demand: a release
+        (`_on_finish`) or its boot, which ends here, as `_booting` pops it
+        into `ranked`.  So a failed demand joins `_failed` with an empty map,
+        and `_freed` adds each such machine that fits it.  Entries whose
+        demand has an empty map skip selection and go straight to the
+        SLA-drop check.  A retried demand's selection is passed only the
+        mapped machines that still fit, in policy order, so it picks what a
+        selection over `ranked` would; if none still fits, the map is left
+        empty and selection is skipped.  The entries neither placed nor
+        dropped, still in order, form the next queue.
 
-        After a walked pass every waiting demand is memoised, so until an
-        unmemoised demand is enqueued or a demand is retried, a pass can
-        only drop.  It drops nothing while `now` is below the least
+        After a walked pass every waiting demand has an empty map, so until
+        an unmemoised demand is enqueued or a demand gains a machine, a pass
+        can only drop.  It drops nothing while `now` is below the least
         `drop_at` in the queue, because the drop test `now >= drop_at` is
         the SLA test `now - arrival > sla` exactly.  `_walk_at` is that
         least `drop_at`, or -inf after such an enqueue or retry; a pass
@@ -254,21 +268,27 @@ class SimulationRun:
             return
         now = self.now
         failed = self._failed
+        ranked = self.ranked
         waiting = []
         next_drop = math.inf
         for entry in self.ready:
-            state = self.states[entry.instance_id]
+            state = entry.state
             if state.dropped:  # dropped earlier in this pass
                 continue
-            sdef = self.defs[entry.service_id]
-            demand = (sdef.memory_gb, sdef.cores)
+            demand = entry.demand
             if demand not in failed:
+                machines = ranked
+            elif failed[demand]:
+                machines = self._candidates(demand)  # None if none still fits
+            else:
+                machines = None
+            if machines is not None:
                 preds = self._pred_placements(entry)
-                choice = self._select_machine(entry, preds)
+                choice = self._select_machine(entry, preds, machines)
                 if choice is not None:
                     self._place(entry, choice, preds)
                     continue
-                failed.add(demand)
+                failed[demand] = {}
             if now >= state.drop_at:
                 self._drop(state)
             else:
@@ -282,23 +302,35 @@ class SimulationRun:
         """Re-rank `machine` after a release or its boot; retry demands it fits."""
         self._rerank(machine)
         if self._failed:
-            fit = {d for d in self._failed if machine.fits(*d)}
-            if fit:
-                self._failed -= fit
-                self._walk_at = -math.inf
+            for (memory_gb, cores), candidates in self._failed.items():
+                if machine.fits(memory_gb, cores):
+                    candidates[machine.machine_id] = machine
+                    self._walk_at = -math.inf
 
-    def _select_machine(self, entry, preds):
-        sdef = self.defs[entry.service_id]
+    def _candidates(self, demand):
+        """The machines freed since `demand` failed that still fit it, in
+        policy order, or None; no other machine fits it.  Keeps only those.
+        With none, selection would fail: the failure that memoised `demand`
+        found no node slot or no type covering it, and both still hold."""
+        memory_gb, cores = demand
+        fit = self._failed[demand] = {mid: m for mid, m in self._failed[demand].items()
+                                      if m.fits(memory_gb, cores)}
+        if not fit:
+            return None
+        return [fit[mid] for mid in sorted(fit, key=self._rank_of.__getitem__)]
+
+    def _select_machine(self, entry, preds, machines):
+        memory_gb, cores = entry.demand
         if self._greedy:
-            return greedy_select_machine(sdef.memory_gb, sdef.cores, self.ranked,
+            return greedy_select_machine(memory_gb, cores, machines,
                                          self.topology, self.scenario.catalog)
-        return select_machine_fws(sdef.memory_gb, sdef.cores, preds, self.ranked,
+        return select_machine_fws(memory_gb, cores, preds, machines,
                                   self.topology, self.scenario.catalog)
 
     def _pred_placements(self, entry):
         """(pred, machine, data_out_kb) per predecessor, in ascending id
         order: traffic and link-load sums accumulate in this order."""
-        state = self.states[entry.instance_id]
+        state = entry.state
         placed = state.placed
         return [(pred, placed[pred], data_out_kb) for pred, data_out_kb
                 in self._services[state.request.chain_id, entry.service_id][3]]
@@ -333,11 +365,10 @@ class SimulationRun:
     def _place(self, entry, choice, preds):
         """Dispatch `entry` by `choice`; `preds` is its `_pred_placements`."""
         key = (entry.instance_id, entry.service_id)
-        state = self.states[entry.instance_id]
+        state = entry.state
         if entry.service_id in state.placed:
             raise AssertionError(f"{key} placed twice")
         t = self.now
-        sdef = self.defs[entry.service_id]
         boot_ms = 0.0  # a selected machine is active; only a new one boots
         if choice[0] == "provision":
             _, node_id, vm_type = choice
@@ -345,7 +376,8 @@ class SimulationRun:
             machine = self._provision(node_id, vm_type, active_at_ms=t + boot_ms)
         else:
             machine = choice[1]
-        machine.allocate(key, sdef.memory_gb, sdef.cores)
+        memory_gb, cores = entry.demand
+        machine.allocate(key, memory_gb, cores)
         self._rerank(machine)
 
         transfers_in = {}
@@ -362,7 +394,7 @@ class SimulationRun:
             transfer_ms = max(transfer_ms, delay_ms)
 
         start = t + boot_ms + transfer_ms + self.scenario.resume_latency_ms
-        finish = start + sdef.exec_time_ms
+        finish = start + entry.exec_time_ms
         self.placements.append(Placement(
             entry.instance_id, entry.service_id, machine.machine_id, start,
             finish, t, boot_ms, transfer_ms, transfers_in))

@@ -43,6 +43,10 @@ class LabeledService:
     enqueue_time_ms: float
     exec_time_ms: float
     dependents: int
+    # the queue owner's record of the request, and the (memory_gb, cores)
+    # demand: set once at enqueue, so a queue walk looks neither up
+    state: object = None
+    demand: tuple = None
 
 
 def assign_labels(chain, exec_time_ms) -> dict:
@@ -114,10 +118,11 @@ def select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
     machine with room; both keep the one adding the least hop-weighted
     traffic, ties to the lowest machine id, whatever the order of
     `machines`.  (c) `provision_choice` on the free-slot node closest to the
-    predecessors.  `machines` holds the machines that can take work now:
-    active, with a free core.  A predecessor's machine has run it, so is
-    active; one missing from `machines` is core-full and fits no demand, as
-    every service needs a core.  Returns ("existing", machine), ("provision",
+    predecessors.  `machines` holds machines that can take work now (active,
+    with a free core), every one that fits the demand among them: all such
+    machines, or for a demand retried after a failure only those freed since.
+    A predecessor's machine has run it, so is active; one that fits the
+    demand is in `machines` too.  Returns ("existing", machine), ("provision",
     node_id, vm_type), or None if every node is full or no type covers it.
     """
     objective = {}  # node_id -> _traffic_objective, filled on first use

@@ -48,9 +48,11 @@ def greedy_select_machine(demand_memory_gb, demand_cores, machines,
                           topology, catalog):
     """Utilization-biased machine choice with a provisioning fallback.
 
-    `machines` holds the machines that can take work now (active, with a
-    free core) in the policy's machine order, so the first machine with room
-    is the least (or most) utilized one.  With none, `provision_choice` with
+    `machines` holds machines that can take work now (active, with a free
+    core) in the policy's machine order, every one that fits the demand
+    among them: all such machines, or for a demand retried after a failure
+    only those freed since.  So the first machine with room is the least (or
+    most) utilized one.  With none, `provision_choice` with
     no predecessors: the lowest free node.  Returns ("existing", machine) or
     ("provision", node_id, vm_type), or None when no machine fits and every
     node is full or no catalog type covers the demand.

@@ -234,18 +234,27 @@ def test_policies_agree_when_there_is_no_choice():
         assert len(sim.machines) == 1
 
 
-def count_selections(monkeypatch):
-    """Wrap SimulationRun._select_machine; returns the list of demands it saw."""
+def count_selections(monkeypatch, passed=None):
+    """Wrap SimulationRun._select_machine; returns the list of demands it
+    saw.  The machines each call is passed go to `passed`, if given."""
     seen = []
     select = SimulationRun._select_machine
 
-    def counting(self, entry, preds):
+    def counting(self, entry, preds, machines):
         sdef = self.defs[entry.service_id]
         seen.append((sdef.memory_gb, sdef.cores))
-        return select(self, entry, preds)
+        if passed is not None:
+            passed.append(list(machines))
+        return select(self, entry, preds, machines)
 
     monkeypatch.setattr(SimulationRun, "_select_machine", counting)
     return seen
+
+
+def memoised(sim):
+    """The failed demands whose entries skip selection: no machine has been
+    freed since that fits them."""
+    return {demand for demand, candidates in sim._failed.items() if not candidates}
 
 
 def test_dispatch_skips_a_demand_that_already_failed(monkeypatch):
@@ -313,9 +322,10 @@ def test_release_that_fits_a_failed_demand_retries_it(monkeypatch):
     seen = count_selections(monkeypatch)
     for rid in range(3):
         arrive(sim, rid, 1, 0.0)
-    assert sim._failed == {(1.0, 1)} and len(seen) == 3
+    assert sim._failed == {(1.0, 1): {}} and len(seen) == 3
     finish(sim, 0, 1, 50.0)
-    assert sim._failed == set() and len(seen) == 4
+    assert memoised(sim) == set() and len(seen) == 4
+    assert sim._failed == {(1.0, 1): {0: sim.machines[0]}}
     assert [(p.instance_id, p.machine_id) for p in sim.placements][-1] == (2, 0)
     assert sim.ready == []
 
@@ -332,9 +342,9 @@ def test_release_that_does_not_fit_keeps_the_demand_memoised(monkeypatch):
     arrive(sim, 0, 1, 0.0)
     arrive(sim, 1, 2, 0.0)
     arrive(sim, 2, 2, 1.0)
-    assert sim._failed == {(6.0, 1)} and len(seen) == 3
+    assert sim._failed == {(6.0, 1): {}} and len(seen) == 3
     finish(sim, 0, 1, 50.0)
-    assert sim._failed == {(6.0, 1)} and len(seen) == 3
+    assert sim._failed == {(6.0, 1): {}} and len(seen) == 3
     assert [e.instance_id for e in sim.ready] == [2]
     finish(sim, 1, 2, 60.0)
     assert len(seen) == 4 and sim.ready == []
@@ -350,7 +360,7 @@ def test_machine_that_finishes_booting_retries_a_failed_demand(monkeypatch):
     seen = count_selections(monkeypatch)
     for rid in range(3):
         arrive(sim, rid, 1, 0.0)
-    assert len(sim.machines) == 2 and sim._failed == {(1.0, 1)}
+    assert len(sim.machines) == 2 and sim._failed == {(1.0, 1): {}}
     assert len(seen) == 3
     sim.now = 49.0
     sim._dispatch()
@@ -359,6 +369,81 @@ def test_machine_that_finishes_booting_retries_a_failed_demand(monkeypatch):
     sim._dispatch()
     assert len(seen) == 4 and sim.ready == []
     assert sim.placements[-1].machine_id == 0 and sim._booting == []
+    assert memoised(sim) == set() and set(sim._failed[1.0, 1]) == {0, 1}
+
+
+# 2 GB and 4 cores: one 2 GB service fills the memory and leaves free cores,
+# so a full machine stays in `ranked`
+NARROW = VmType("narrow", 2.0, 4, 25.0, 0.1)
+
+
+def test_retry_is_passed_only_the_machine_freed_since_the_failure(monkeypatch):
+    sim = two_slot_run([ServiceChain(1, {1}, set())],
+                       {1: MicroServiceDef(1, 50.0, 10.0, 2.0, 1)},
+                       initial_machines=[(0, NARROW), (1, NARROW)])
+    passed = []
+    seen = count_selections(monkeypatch, passed)
+    for rid in range(3):
+        arrive(sim, rid, 1, 0.0)
+    assert sim._failed == {(2.0, 1): {}} and len(seen) == 3
+    assert passed[2] == sim.ranked == sim.machines
+    finish(sim, 1, 1, 50.0)
+    assert len(seen) == 4 and passed[3] == [sim.machines[1]]
+    assert sim.ranked == sim.machines
+    assert sim.placements[-1].machine_id == 1 and sim.ready == []
+
+
+def test_retry_whose_machines_were_taken_memoises_the_demand_again(monkeypatch):
+    # the release on machine 0 fits both failed demands; request 2 outranks
+    # request 3 and takes it, so request 3's demand is memoised again
+    sim = two_slot_run([ServiceChain(1, {1}, set()), ServiceChain(2, {2}, set())],
+                       {1: MicroServiceDef(1, 50.0, 10.0, 2.0, 1),
+                        2: MicroServiceDef(2, 50.0, 10.0, 1.5, 1)},
+                       initial_machines=[(0, NARROW), (1, NARROW)])
+    seen = count_selections(monkeypatch)
+    arrive(sim, 0, 1, 0.0)
+    arrive(sim, 1, 1, 0.0)
+    arrive(sim, 2, 1, 0.0)
+    arrive(sim, 3, 2, 1.0)
+    assert memoised(sim) == {(2.0, 1), (1.5, 1)} and len(seen) == 4
+    finish(sim, 0, 1, 50.0)
+    assert seen[4:] == [(2.0, 1)] and sim.placements[-1].instance_id == 2
+    assert memoised(sim) == {(1.5, 1)}
+    assert [e.instance_id for e in sim.ready] == [3]
+    sim.now = 60.0  # below request 3's drop time: the pass skips the walk
+    sim._dispatch()
+    assert len(seen) == 5 and [e.instance_id for e in sim.ready] == [3]
+
+
+def test_candidate_maps_stay_within_the_machines_and_clear_at_quiescence(monkeypatch):
+    # an overload cell: 200 requests at 2000 rps fill every VM slot
+    largest = [0]
+    freed = SimulationRun._freed
+
+    def traced(self, machine):
+        freed(self, machine)
+        for candidates in self._failed.values():
+            assert all(self.machines[mid] is m for mid, m in candidates.items())
+            largest[0] = max(largest[0], len(candidates))
+
+    monkeypatch.setattr(SimulationRun, "_freed", traced)
+    for policy in ("fws", "lfff"):
+        largest[0] = 0
+        sim = SimulationRun(Scenario(policy=policy, request_count=200,
+                                     arrival_rate_rps=2000.0, rng_seed=100))
+        sim.execute()
+        assert sim._failed == {} and sim.dropped > 0
+        assert 0 < largest[0] <= len(sim.machines)
+        validate_run(sim)
+
+
+def test_simulation_run_has_fewer_than_30_instance_attributes():
+    sim = SimulationRun(Scenario(request_count=5))
+    sim.execute()
+    assert len(vars(sim)) < 30, (
+        "a 30th instance attribute slows every `self.` access on CPython 3.11: "
+        "one dummy attribute cost about 6% on sweep cells; keep new state "
+        "inside an existing attribute")
 
 
 def test_booting_machine_joins_ranked_at_its_boot_pass():
@@ -396,6 +481,16 @@ class NoLookups(dict):
         raise AssertionError(f"the pass looked up request {key}")
 
 
+class NoWalk(list):
+    """A ready queue whose entries, and so their requests, cannot be read."""
+
+    def __iter__(self):
+        raise AssertionError("the pass walked the queue")
+
+    def __getitem__(self, index):
+        raise AssertionError(f"the pass read queue entry {index}")
+
+
 def full_two_slot_run():
     """Both VM slots hold a 1-core machine, so 1-core demands queue."""
     small = default_catalog()[0]
@@ -410,12 +505,14 @@ def test_pass_that_can_change_nothing_reads_no_request():
         arrive(sim, rid, 1, 0.0)
     queue = sim.ready
     assert [e.instance_id for e in queue] == [2, 3, 4, 5]
-    assert sim._failed == {(1.0, 1)}
+    assert sim._failed == {(1.0, 1): {}}
     sim.now = 1.0  # no release, no boot, below every drop time
+    # each entry carries its request's state, so reading one needs the queue
     states, sim.states = sim.states, NoLookups()
+    sim.ready = unreadable = NoWalk(queue)
     sim._dispatch()
-    sim.states = states
-    assert sim.ready is queue and sim.dropped == 0
+    assert sim.ready is unreadable and sim.dropped == 0
+    sim.states, sim.ready = states, queue
 
 
 def test_entry_drops_exactly_at_its_drop_time():
@@ -493,9 +590,10 @@ def test_placing_a_service_twice_is_rejected():
     sim._on_arrival(reqs[0])  # places service 1
     assert [(p.instance_id, p.service_id) for p in sim.placements] == [(0, 1)]
     entry = LabeledService(instance_id=0, service_id=1, label=1, enqueue_time_ms=0.0,
-                           exec_time_ms=50.0, dependents=0)
+                           exec_time_ms=50.0, dependents=0, state=sim.states[0],
+                           demand=(1.0, 1))
     preds = sim._pred_placements(entry)
-    choice = sim._select_machine(entry, preds)
+    choice = sim._select_machine(entry, preds, sim.ranked)
     assert choice is not None
     with pytest.raises(AssertionError, match="placed twice"):
         sim._place(entry, choice, preds)
@@ -606,9 +704,21 @@ def test_validate_run_replays_boot_waits():
 
 def test_selection_sees_free_core_machines_in_policy_order(monkeypatch):
     # mixed core counts (a 4-core type, 1-3 core demands) make machines go
-    # core-full and come back; preprovisioned machines start in the order
+    # core-full and come back; preprovisioned machines start in the order.
+    # A demand that has not failed is passed every active free-core
+    # machine; a retried one only those freed since it failed, and among
+    # them every free-core machine that fits it.
     wide_catalog = CATALOGS[2]
-    calls = {"fws": 0, "greedy": 0}
+    calls = {"fws": 0, "greedy": 0, "retry": 0}
+    freed_since = {}  # failed demand -> ids freed since its last failure
+    freed = SimulationRun._freed
+
+    def recording(self, machine):
+        for ids in freed_since.values():
+            ids.add(machine.machine_id)
+        freed(self, machine)
+
+    monkeypatch.setattr(SimulationRun, "_freed", recording)
     for seed in range(200):
         rng = random.Random(seed)
         policy = rng.choice(("fws", "lfff", "mfff"))
@@ -628,25 +738,34 @@ def test_selection_sees_free_core_machines_in_policy_order(monkeypatch):
         initial = [(micro_count, rng.choice(wide_catalog))
                    for _ in range(rng.randint(0, 2))]
         sim = SimulationRun(sc, initial_machines=initial)
+        freed_since.clear()
 
-        def check(kind, machines):
+        def check(kind, demand, machines):
             calls[kind] += 1
-            free = [m for m in sim.machines if m.used_cores < m.vm_type.cores
-                    and m.active_at_ms <= sim.now]
-            assert machines == sorted(free, key=key)
+            free = sorted((m for m in sim.machines if m.used_cores < m.vm_type.cores
+                           and m.active_at_ms <= sim.now), key=key)
+            if demand in sim._failed:
+                calls["retry"] += 1
+                assert machines == [m for m in free if m.fits(*demand)]
+                assert {m.machine_id for m in machines} <= freed_since[demand]
+            else:
+                assert machines == free
 
-        def checked_greedy(demand_memory_gb, demand_cores, machines, *rest):
-            check("greedy", machines)
-            return greedy_select_machine(demand_memory_gb, demand_cores,
-                                         machines, *rest)
+        def checked(select, kind, demand, machines, args):
+            check(kind, demand, machines)
+            choice = select(*args)
+            if choice is None:
+                freed_since[demand] = set()
+            return choice
 
-        def checked_fws(demand_memory_gb, demand_cores, preds, machines, *rest):
-            check("fws", machines)
-            return select_machine_fws(demand_memory_gb, demand_cores, preds,
-                                      machines, *rest)
+        def checked_greedy(*args):
+            return checked(greedy_select_machine, "greedy", args[:2], args[2], args)
+
+        def checked_fws(*args):
+            return checked(select_machine_fws, "fws", args[:2], args[3], args)
 
         monkeypatch.setattr(engine, "greedy_select_machine", checked_greedy)
         monkeypatch.setattr(engine, "select_machine_fws", checked_fws)
         sim.execute()
         validate_run(sim)
-    assert calls["fws"] > 1000 and calls["greedy"] > 1000
+    assert calls["fws"] > 1000 and calls["greedy"] > 1000 and calls["retry"] > 100
