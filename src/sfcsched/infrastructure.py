@@ -109,13 +109,10 @@ class Link:
     background_pps: float = 0.0
     transfer_pps: float = 0.0  # sum of active transfer line rates
 
-    @property
-    def lambda_pps(self):
-        return self.background_pps + self.transfer_pps
-
     def delay_s(self, rho_max=TopologySpec.rho_max):
-        """Current sojourn time; load clamped below saturation."""
-        return _clamped_delay(self.lambda_pps, self.mu_pps, rho_max)
+        """Current sojourn time at the combined load; clamped below saturation."""
+        return _clamped_delay(self.background_pps + self.transfer_pps,
+                              self.mu_pps, rho_max)
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -210,6 +207,9 @@ class Topology:
         self._routes = _all_pairs_routes(
             tuple((n, tuple(self.adj[n])) for n in sorted(self.adj)))
         self._open = sorted(self.nodes)
+        # The route table holds link keys, as topologies of one shape share
+        # it; (src, dst) -> this topology's route Links, filled on first use
+        self._paths = {}
 
     def open_node_ids(self):
         """Ids of the nodes with a free VM slot, ascending.  Slots are never
@@ -226,9 +226,20 @@ class Topology:
     def hops(self, src, dst):
         return len(self.route(src, dst))
 
+    def _path(self, src, dst):
+        """This topology's `Link` objects along `route(src, dst)`."""
+        path = self._paths.get((src, dst))
+        if path is None:
+            path = self._paths[src, dst] = tuple(
+                self.links[k] for k in self.route(src, dst))
+        return path
+
     def path_delay_s(self, src, dst):
         """Sum of link sojourn times along the min-hop route, in seconds."""
-        return sum(self.links[k].delay_s(self.rho_max) for k in self.route(src, dst))
+        total = 0
+        for link in self._path(src, dst):
+            total += link.delay_s(self.rho_max)
+        return total
 
     def set_background_load(self, fraction):
         if not 0 <= fraction < 1:
@@ -253,12 +264,17 @@ class Topology:
         delay_ms = data_kb / bw  # kB over MB/s serializes in ms
         if src_machine.node_id == dst_machine.node_id:
             return delay_ms, None
-        route = self.route(src_machine.node_id, dst_machine.node_id)
-        delay_ms += 1000.0 * sum(self.links[k].delay_s(self.rho_max) for k in route)
+        src, dst = src_machine.node_id, dst_machine.node_id
+        path = self._path(src, dst)
+        rho_max = self.rho_max
+        wait_s = 0  # sum()'s start and order, so the bits are unchanged
+        for link in path:
+            wait_s += link.delay_s(rho_max)
+        delay_ms += 1000.0 * wait_s
         rate_pps = self.line_rate_pps(bw)
-        for k in route:
-            self.links[k].transfer_pps += rate_pps
-        return delay_ms, (route, rate_pps)
+        for link in path:
+            link.transfer_pps += rate_pps
+        return delay_ms, (self._routes[src, dst], rate_pps)
 
     def end_transfer(self, route, rate_pps):
         """Release the link load of a transfer from `start_transfer`."""

@@ -210,7 +210,7 @@ def test_route_table_is_shared_per_topology_shape():
     a.set_background_load(0.5)
     route = a.route(0, 19)
     a.links[route[0]].transfer_pps += 100.0
-    assert b.links[route[0]].lambda_pps == 0.0
+    assert b.links[route[0]].transfer_pps == 0.0
     assert a.path_delay_s(0, 19) > b.path_delay_s(0, 19)
 
     small = default_topology(TopologySpec(micro_count=4, core_count=2))
@@ -219,6 +219,23 @@ def test_route_table_is_shared_per_topology_shape():
     assert small._routes == infrastructure._all_pairs_routes.__wrapped__(shape)
     assert small.route(0, 3) == ((0, 4), (4, 5), (3, 5))
 
+
+
+def test_link_paths_are_per_topology_and_filled_on_first_use():
+    a, b = default_topology(), default_topology()
+    assert a._routes is b._routes and a._paths == {} == b._paths
+    for topo in (a, b):
+        topo.set_background_load(0.3)
+    fast = default_catalog()[3]
+    src, dst = Machine(0, 0, fast), Machine(1, 5, fast)
+    b.path_delay_s(0, 5)  # b meets the pair first
+    a.start_transfer(src, dst, 100.0)
+    for link in b.links.values():
+        assert link.transfer_pps == 0.0
+    path = a._path(0, 5)
+    assert len(path) == 3
+    assert all(link is a.links[key] for key, link in zip(a.route(0, 5), path))
+    assert all(link.transfer_pps > 0.0 for link in path)
 
 
 def transfer_topology():
@@ -273,7 +290,7 @@ def test_end_transfer_returns_every_link_to_background():
         topo.end_transfer(*transfer)
     for link in topo.links.values():
         assert link.transfer_pps == pytest.approx(0.0, abs=1e-9)
-        assert link.lambda_pps == pytest.approx(0.3 * link.mu_pps)
+        assert link.background_pps == 0.3 * link.mu_pps
 
 def test_nearest_vm_type_examples():
     catalog = default_catalog()

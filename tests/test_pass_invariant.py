@@ -1,0 +1,73 @@
+"""The claim the failed-demand memo rests on, checked after every walked pass.
+
+A dispatch pass that walks the ready queue leaves an entry waiting only if
+nothing could place it: no active machine with a free core fits its demand,
+and either no node has a free VM slot or no catalog type covers the demand.
+The check reads machines, nodes and the catalog directly, not the engine's
+`ranked` order, memo or kept node list.
+"""
+
+from hypothesis import given, settings
+
+from sfcsched.engine import SimulationRun
+from sfcsched.scenario import Scenario
+from test_reference import reference_runs
+
+
+class Checked(SimulationRun):
+    """A run that asserts the pass-end invariant after each walked pass;
+    `contended` gets the waiting count of each pass that left one waiting."""
+
+    def __init__(self, *args, **kwargs):
+        self.contended = []
+        super().__init__(*args, **kwargs)
+
+    def _dispatch(self):
+        before = self.ready
+        super()._dispatch()
+        if self.ready is before:  # the pass returned without walking
+            return
+        waiting = [e for e in self.ready if not e.state.dropped]
+        if not waiting:
+            return
+        self.contended.append(len(waiting))
+        now = self.now
+        free_core = [m for m in self.machines
+                     if m.active_at_ms <= now and m.used_cores < m.vm_type.cores]
+        slot_free = any(n.used_slots < n.vm_slots
+                        for n in self.topology.nodes.values())
+        for entry in waiting:
+            sdef = self.defs[entry.service_id]
+            memory_gb, cores = sdef.memory_gb, sdef.cores
+            fitting = [m.machine_id for m in free_core if m.fits(memory_gb, cores)]
+            assert not fitting, \
+                f"at {now} ms, {entry.instance_id, entry.service_id} waits " \
+                f"though machines {fitting} fit it"
+            covered = any(t.memory_gb >= memory_gb and t.cores >= cores
+                          for t in self.scenario.catalog)
+            assert not (slot_free and covered), \
+                f"at {now} ms, {entry.instance_id, entry.service_id} waits " \
+                f"though a node has a free slot and a type covers it"
+
+
+def checked_run(sc, **inputs):
+    """Run `sc` to quiescence under the check; the contended pass sizes."""
+    sim = Checked(sc, **inputs)
+    sim.execute()
+    return sim.contended
+
+
+def test_overload_bursts_leave_only_unplaceable_entries_waiting():
+    # the benchmark's overload cell shape: 200 requests at 2000 rps fill
+    # every VM slot, so most walked passes leave entries waiting
+    for policy, seed in (("fws", 100), ("lfff", 101)):
+        contended = checked_run(Scenario(policy=policy, request_count=200,
+                                         arrival_rate_rps=2000.0, rng_seed=seed))
+        assert len(contended) > 300
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(run=reference_runs())
+def test_random_runs_leave_only_unplaceable_entries_waiting(run):
+    sc, inputs = run
+    checked_run(sc, **inputs)

@@ -4,7 +4,8 @@ import pytest
 
 from sfcsched.chains import ServiceChain
 from sfcsched.fws import (LabeledService, WeightParams, assign_labels,
-                          compute_weight, priority_key, select_machine_fws)
+                          compute_weight, priority_key, rank_key_fws,
+                          select_machine_fws)
 from sfcsched.greedy import (GREEDY_POLICIES, decreasing_time, first_finish,
                              greedy_select_machine, least_full, most_full)
 from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology,
@@ -156,6 +157,46 @@ def test_fws_traffic_rule_prefers_same_node():
     # brute-force the hop-weighted objective over both candidates
     hops = {m_same_node.machine_id: topo.hops(0, 0), m_far.machine_id: topo.hops(0, 1)}
     assert hops[m_same_node.machine_id] < hops[m_far.machine_id]
+
+
+class Unvisited:
+    """A machine the selection must not reach: any attribute read fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"scan read .{name} past its stopping point")
+
+
+def test_fws_scan_stops_at_the_first_zero_objective_fit():
+    topo = two_node_topology()
+    pred = Machine(0, 0, SMALL)
+    pred.allocate((0, 3), 1.0, 1)  # no room: the fallback scan decides
+    far = Machine(1, 1, SMALL)     # fits, one hop from the predecessor
+    near = Machine(2, 0, SMALL)    # fits, zero hops
+    kind, chosen = select_machine_fws(1.0, 1, [(3, pred, 10.0)],
+                                      [pred, far, near, Unvisited()],
+                                      topo, default_catalog())
+    assert kind == "existing" and chosen is near
+
+
+def test_fws_lowest_id_wins_among_zero_objective_nodes():
+    # a chain source has no predecessor, so every node scores 0
+    topo = two_node_topology()
+    full = Machine(0, 0, SMALL)
+    full.allocate((0, 1), 1.9, 1)
+    on_node_1, on_node_0 = Machine(1, 1, SMALL), Machine(2, 0, SMALL)
+    kind, chosen = select_machine_fws(1.0, 1, [], [full, on_node_1, on_node_0],
+                                      topo, default_catalog())
+    assert kind == "existing" and chosen is on_node_1
+
+
+def test_fws_predecessor_machines_tie_to_the_lowest_id_in_any_order():
+    # both predecessors sit on node 0, so both machines score 0; the
+    # predecessors' order is not id order, so that pass scans them all
+    topo = two_node_topology()
+    high, low = Machine(5, 0, SMALL), Machine(3, 0, SMALL)
+    kind, chosen = select_machine_fws(0.5, 1, [(1, high, 10.0), (2, low, 10.0)],
+                                      [low, high], topo, default_catalog())
+    assert kind == "existing" and chosen is low
 
 
 def test_fws_cold_start_provisions_lowest_node():
@@ -373,8 +414,9 @@ def test_single_loop_selection_matches_list_based_oracle():
         for link in topology.links.values():
             link.background_pps = rng.choice((0.0, 0.5)) * link.mu_pps
         machines = random_machines(rng, topology, catalog, now_ms)
-        # the engine passes only the machines that can take work now; the
-        # oracles see every machine and filter by the clock themselves
+        # the engine passes only the machines that can take work now, in
+        # policy order; the oracles see every machine, in list order, and
+        # filter by the clock themselves
         active = [m for m in machines if m.active_at_ms <= now_ms]
         demand = (rng.choice((0.5, 1.0, 2.0, 4.0, 16.0)), rng.choice((1, 2)))
         for bias, order in ((LEAST_FULL, least_full), (MOST_FULL, most_full)):
@@ -384,7 +426,7 @@ def test_single_loop_selection_matches_list_based_oracle():
                 outcome(oracle_greedy_select_machine, *args)
         preds = [(sid, rng.choice(active), rng.choice((5.0, 10.0, 12.5)))
                  for sid in range(rng.randint(0, 3) if active else 0)]
-        assert outcome(select_machine_fws, *demand, preds, active, topology,
-                       catalog) == \
+        assert outcome(select_machine_fws, *demand, preds,
+                       sorted(active, key=rank_key_fws), topology, catalog) == \
             outcome(oracle_select_machine_fws, *demand, preds, machines,
                     topology, catalog, now_ms)

@@ -1,6 +1,7 @@
 """The engine's dispatch against the same rules stated plainly.
 
 `Reference` re-sorts the ready queue each pass by the fair weight at `now`,
+or under a greedy baseline by the execution-time rule it states itself,
 restarts from the top after each placement or drop, and runs the
 list-building selection oracles of `test_policies` over every machine:
 no failed-demand memo, no static queue keys, no kept machine order, no
@@ -32,7 +33,11 @@ class Reference(SimulationRun):
 
     def _order(self, entry):
         if self._greedy:
-            return self._priority_key(entry)
+            # highest label, then execution time, shortest first under the
+            # first-finish baselines and longest under decreasing-time, then ids
+            exec_ms = self.defs[entry.service_id].exec_time_ms
+            return (-entry.label, exec_ms if self.scenario.policy.endswith("ff")
+                    else -exec_ms, entry.instance_id, entry.service_id)
         weight = compute_weight(entry, self.now, self.scenario.weights)
         return (-entry.label, -weight, entry.enqueue_time_ms,
                 entry.instance_id, entry.service_id)
