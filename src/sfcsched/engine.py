@@ -1,11 +1,13 @@
 """Discrete-event simulation of chain scheduling across the multi-cloud.
 
 One run owns all mutable state (event heap, machines, link loads, request
-progress) and executes on a single logical thread.  Event ordering at equal
-timestamps is fixed: finish < transfer < start < arrival, then sequence
-number, so identical inputs replay identically.  A start carries nothing
-but its time, so start times sit in a heap of their own, merged in at
-their rank.
+progress) and executes on a single logical thread.  Boots, transfer ends,
+finishes and starts are events in one heap; the requests are read in
+arrival order beside it.  Event ordering at equal timestamps is fixed:
+boot < transfer < finish < start < arrival, then sequence number (list
+order for arrivals), so identical inputs replay identically.  A boot or a
+transfer end frees what a pass at its time may use and triggers no pass;
+a finish, a start and an arrival each trigger one.
 
 Timing model for one placed service:
 
@@ -20,6 +22,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .chains import ServiceChain, ready_services
 from .fws import (TRANSITIVE, LabeledService, assign_labels, priority_key,
@@ -29,10 +32,11 @@ from .infrastructure import default_topology, provision_machine
 from .metrics import MetricsReport, report
 from .scenario import Scenario, generate_workload, sample_service_defs
 
-EVENT_FINISH = 0
+EVENT_BOOT = 0
 EVENT_TRANSFER = 1
-EVENT_START = 2
-EVENT_ARRIVAL = 3
+EVENT_FINISH = 2
+EVENT_START = 3
+EVENT_ARRIVAL = 4  # never in the heap: the next request in arrival order
 
 
 @dataclass(slots=True)
@@ -89,8 +93,10 @@ class SimulationRun:
         self.chains = {c.chain_id: c for c in scenario.chains}
         self.defs = service_defs if service_defs is not None \
             else sample_service_defs(scenario)
-        self.requests = requests if requests is not None \
-            else generate_workload(scenario)
+        # in arrival order, list order at equal times
+        self.requests = sorted(requests if requests is not None
+                               else generate_workload(scenario),
+                               key=attrgetter("arrival_time_ms"))
         # every request of a chain shares its service definitions, so one
         # labeling per chain serves the whole run
         self.labels = {
@@ -120,12 +126,11 @@ class SimulationRun:
         self.now = 0.0
         self._seq = 0
         self._events = []          # heap of (time_ms, kind, seq, payload)
-        self._starts = []          # heap of start times; see execute
         self.machines = []
         self.placements = []
         self.ready = []            # LabeledService entries, in _priority_key order
         self.states = {}           # request_id -> _RequestState
-        self.arrived = 0
+        self.arrived = 0           # requests[:arrived] have arrived
         self.completed = 0
         self.dropped = 0
         self.traffic_kb = 0.0      # online crossing-edge accumulator
@@ -140,15 +145,12 @@ class SimulationRun:
         # (memory_gb, cores) demand that found no machine -> the machines
         # freed since that fit it, {machine_id: machine}; see _dispatch
         self._failed = {}
-        self._booting = []         # heap of (active_at_ms, machine_id)
         # no pass before this time can change anything; see _dispatch
         self._walk_at = math.inf
 
         if initial_machines:
             for node_id, vm_type in initial_machines:
                 self._provision(node_id, vm_type, active_at_ms=0.0)
-        for req in self.requests:
-            self._push(req.arrival_time_ms, EVENT_ARRIVAL, req)
 
     # ------------------------------------------------------------------ events
 
@@ -157,18 +159,19 @@ class SimulationRun:
         heapq.heappush(self._events, (time_ms, kind, self._seq, payload))
 
     def execute(self):
-        events, starts = self._events, self._starts
-        while events or starts:
-            # A start sorts after the finishes and transfers of its time and
-            # before its arrivals.  It frees nothing, but it is a dispatch
-            # time: queued entries may first see a machine that has finished
-            # booting, and entries past their delay SLA are dropped.  Without
-            # this pass the seeded schedules change.
-            if starts and (not events or starts[0] < events[0][0] or (
-                    starts[0] == events[0][0] and events[0][1] > EVENT_START)):
-                time_ms, kind, payload = heapq.heappop(starts), EVENT_START, None
-            else:
+        events, requests = self._events, self.requests
+        while True:
+            i = self.arrived
+            # an arrival sorts after every event of its time
+            if i < len(requests) and (
+                    not events or requests[i].arrival_time_ms < events[0][0]):
+                payload = requests[i]
+                time_ms, kind = payload.arrival_time_ms, EVENT_ARRIVAL
+                self.arrived = i + 1
+            elif events:
                 time_ms, kind, _, payload = heapq.heappop(events)
+            else:
+                break
             # every event is pushed at `now` plus a nonnegative delay
             if time_ms < self.now:
                 raise AssertionError("event dequeued out of time order")
@@ -181,6 +184,8 @@ class SimulationRun:
                 self._on_arrival(payload)
             elif kind == EVENT_TRANSFER:
                 self.topology.end_transfer(*payload)
+            else:
+                self._freed(payload)  # a machine finished booting
         # Anything still queued can never be placed: no capacity-releasing
         # event remains.  Those requests count as dropped.
         for entry in self.ready:
@@ -196,7 +201,6 @@ class SimulationRun:
             request, counts.copy(), len(counts),
             _drop_time(request.arrival_time_ms, request.delay_sla_ms))
         self.states[request.request_id] = state
-        self.arrived += 1
         for sid in sources:
             self._enqueue(state, sid)
         self._dispatch()
@@ -244,8 +248,8 @@ class SimulationRun:
         type covering it.  Node slots are never freed, placements only take
         capacity and link load decides no fit, so after a failure only a
         machine that `_freed` handles can fit the demand: a release
-        (`_on_finish`) or its boot, which ends here, as `_booting` pops it
-        into `ranked`.  So a failed demand joins `_failed` with an empty map,
+        (`_on_finish`) or a boot (an event that sorts before every pass at
+        its time).  So a failed demand joins `_failed` with an empty map,
         and `_freed` adds each such machine that fits it.  Entries whose
         demand has an empty map skip selection and go straight to the
         SLA-drop check.  A retried demand's selection is passed only the
@@ -262,8 +266,6 @@ class SimulationRun:
         least `drop_at`, or -inf after such an enqueue or retry; a pass
         before it returns at once.
         """
-        while self._booting and self._booting[0][0] <= self.now:
-            self._freed(self.machines[heapq.heappop(self._booting)[1]])
         if self.now < self._walk_at:
             return
         now = self.now
@@ -341,7 +343,7 @@ class SimulationRun:
                                     active_at_ms=active_at_ms)
         self.machines.append(machine)
         self._rerank(machine)
-        heapq.heappush(self._booting, (active_at_ms, machine.machine_id))
+        self._push(active_at_ms, EVENT_BOOT, machine)
         return machine
 
     def _rerank(self, machine):
@@ -399,7 +401,9 @@ class SimulationRun:
             entry.instance_id, entry.service_id, machine.machine_id, start,
             finish, t, boot_ms, transfer_ms, transfers_in))
         state.placed[entry.service_id] = machine
-        heapq.heappush(self._starts, start)
+        # a start frees nothing and is only a dispatch time; with no
+        # payload it needs no distinct sequence number
+        heapq.heappush(self._events, (start, EVENT_START, 0, None))
         self._push(finish, EVENT_FINISH,
                    (entry.instance_id, entry.service_id, machine))
 

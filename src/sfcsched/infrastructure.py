@@ -236,8 +236,11 @@ class Topology:
 
     def path_delay_s(self, src, dst):
         """Sum of link sojourn times along the min-hop route, in seconds."""
-        total = 0
-        for link in self._path(src, dst):
+        return self._wait_s(self._path(src, dst))
+
+    def _wait_s(self, path):
+        total = 0  # sum()'s start and order, so the bits are unchanged
+        for link in path:
             total += link.delay_s(self.rho_max)
         return total
 
@@ -256,30 +259,25 @@ class Topology:
         The data serializes at the slower of the two NICs.  Across nodes it
         also waits out the M/D/1 sojourn of every min-hop route link at the
         current load, then adds its line rate to those links while in
-        flight, so later transfers see it.  `transfer` is (route, rate_pps)
-        for `end_transfer`, or None within one node, where no link is loaded.
+        flight, so later transfers see it.  `transfer` is (path, rate_pps)
+        for `end_transfer`, `path` being the route's `Link` objects, or None
+        within one node, where no link is loaded.
         """
         bw = min(src_machine.vm_type.max_bandwidth_mbps,
                  dst_machine.vm_type.max_bandwidth_mbps)
         delay_ms = data_kb / bw  # kB over MB/s serializes in ms
         if src_machine.node_id == dst_machine.node_id:
             return delay_ms, None
-        src, dst = src_machine.node_id, dst_machine.node_id
-        path = self._path(src, dst)
-        rho_max = self.rho_max
-        wait_s = 0  # sum()'s start and order, so the bits are unchanged
-        for link in path:
-            wait_s += link.delay_s(rho_max)
-        delay_ms += 1000.0 * wait_s
+        path = self._path(src_machine.node_id, dst_machine.node_id)
+        delay_ms += 1000.0 * self._wait_s(path)
         rate_pps = self.line_rate_pps(bw)
         for link in path:
             link.transfer_pps += rate_pps
-        return delay_ms, (self._routes[src, dst], rate_pps)
+        return delay_ms, (path, rate_pps)
 
-    def end_transfer(self, route, rate_pps):
+    def end_transfer(self, path, rate_pps):
         """Release the link load of a transfer from `start_transfer`."""
-        for k in route:
-            link = self.links[k]
+        for link in path:
             link.transfer_pps = max(0.0, link.transfer_pps - rate_pps)
 
 

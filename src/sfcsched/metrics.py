@@ -218,51 +218,26 @@ def _replay_boot_and_transfers(sim, chain_of_instance, by_key):
     Placements are walked in list order, which is dispatch order, with a
     link-load ledger of the replay's own: it adds each cross-node
     transfer's line rate, in ascending predecessor id order, and takes it
-    off once the transfer's end time has passed.  A transfer that ends
-    exactly at a dispatch time is still loaded for a pass that a finish at
-    that time triggered, and gone for one a start or an arrival triggered,
-    so at such a tie either delay passes.
+    off once the transfer's end time is reached, as the engine releases a
+    transfer before any pass at its end time.
     """
     topo = sim.topology
     latency = sim.scenario.provision_latency_ms
     ledger = dict.fromkeys(topo.links, 0.0)   # link key -> in-flight pps
     in_flight = []   # heap of (end_ms, seq, route, rate_pps)
     seq = itertools.count()
-    tied = []        # in-flight transfers that end at the current dispatch time
     used = set()     # machines with an earlier placement
     last = -math.inf
-
-    def retire(transfers):
-        for _, _, route, rate_pps in transfers:
-            for k in route:
-                ledger[k] = max(0.0, ledger[k] - rate_pps)
-
-    def path_ms(route, load):
-        return 1000.0 * sum(link_delay(min(topo.links[k].background_pps + load[k],
-                                           topo.rho_max * topo.links[k].mu_pps),
-                                       topo.links[k].mu_pps) for k in route)
-
-    def without_tied():
-        load = dict(ledger)
-        for _, _, route, rate_pps in tied:
-            for k in route:
-                load[k] -= rate_pps
-        return load
 
     for p in sim.placements:
         key = (p.instance_id, p.service_id)
         t = p.dispatch_ms
         assert t >= last, f"{key}: placements out of dispatch order"
         last = t
-        if tied and tied[0][0] < t:
-            retire(tied)
-            tied = []
         while in_flight and in_flight[0][0] <= t:
-            transfer = heapq.heappop(in_flight)
-            if transfer[0] == t:
-                tied.append(transfer)
-            else:
-                retire([transfer])
+            _, _, route, rate_pps = heapq.heappop(in_flight)
+            for k in route:
+                ledger[k] = max(0.0, ledger[k] - rate_pps)
 
         machine = sim.machines[p.machine_id]
         if p.machine_id not in used and machine.active_at_ms == t + latency:
@@ -283,14 +258,16 @@ def _replay_boot_and_transfers(sim, chain_of_instance, by_key):
             crossing.append(pred)
             got = p.transfers_in.get(pred)
             bw = min(src.vm_type.max_bandwidth_mbps, machine.vm_type.max_bandwidth_mbps)
-            want = [sim.defs[pred].data_out_kb / bw]
+            want = sim.defs[pred].data_out_kb / bw
             route = ()
             if src.node_id != machine.node_id:
                 route = topo.route(src.node_id, machine.node_id)
-                want = [want[0] + path_ms(route, load)
-                        for load in ([ledger, without_tied()] if tied else [ledger])]
-            assert got is not None and any(
-                math.isclose(got, w, rel_tol=1e-9, abs_tol=1e-9) for w in want), \
+                want += 1000.0 * sum(
+                    link_delay(min(topo.links[k].background_pps + ledger[k],
+                                   topo.rho_max * topo.links[k].mu_pps),
+                               topo.links[k].mu_pps) for k in route)
+            assert got is not None and math.isclose(got, want, rel_tol=1e-9,
+                                                    abs_tol=1e-9), \
                 f"{key}: transfer from {pred} took {got} ms, replay gives {want}"
             if route:
                 rate_pps = bw * 1000.0 / topo.packet_kb

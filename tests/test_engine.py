@@ -159,10 +159,12 @@ def test_clock_too_large_to_resolve_hold_spans_still_reports():
 def test_event_before_now_is_rejected():
     # every event is pushed at `now` plus a nonnegative delay, so one that
     # falls before `now`, however slightly, is a bug and not rounding; the
-    # check covers the start times' heap and the main heap alike
+    # check covers the heap's events and the arrivals alike
     late = math.nextafter(100.0, -math.inf)
-    for push in (lambda sim: heapq.heappush(sim._starts, late),
-                 lambda sim: sim._push(late, engine.EVENT_TRANSFER, ((), 0.0))):
+    for push in (lambda sim: heapq.heappush(sim._events,
+                                            (late, engine.EVENT_START, 0, None)),
+                 lambda sim: sim._push(late, engine.EVENT_TRANSFER, ((), 0.0)),
+                 lambda sim: sim.requests.append(UserRequest(0, 1, late, 450.0, 0.3))):
         sim = SimulationRun(Scenario(request_count=0))
         sim.now = 100.0
         push(sim)
@@ -170,26 +172,100 @@ def test_event_before_now_is_rejected():
             sim.execute()
 
 
-def test_equal_time_events_run_finish_transfer_start_arrival():
-    sim = SimulationRun(Scenario(request_count=0))
+def test_equal_time_events_run_boot_transfer_finish_start_arrival():
+    sim = SimulationRun(Scenario(request_count=0),
+                        requests=[UserRequest(k, 1, t, 450.0, 0.3)
+                                  for k, t in enumerate((5.0, 10.0))])
     seen = []
+    sim._freed = lambda machine: seen.append((sim.now, "boot"))
     sim._on_finish = lambda *payload: seen.append((sim.now, "finish"))
     sim.topology.end_transfer = lambda *transfer: seen.append((sim.now, "transfer"))
     sim._dispatch = lambda: seen.append((sim.now, "start"))
-    sim._on_arrival = lambda request: seen.append((sim.now, "arrival"))
+
+    def arrival(request):
+        seen.append((sim.now, "arrival"))
+        sim.completed += 1  # the report checks that no request is lost
+
+    sim._on_arrival = arrival
     # pushed in reverse rank order, with a start on either side of 10 ms
+    for t in (10.0, 5.0, 20.0, 10.0):
+        heapq.heappush(sim._events, (t, engine.EVENT_START, 0, None))
     for t in (10.0, 5.0):
-        sim._push(t, engine.EVENT_ARRIVAL, None)
-        heapq.heappush(sim._starts, t)
-        sim._push(t, engine.EVENT_TRANSFER, ((), 0.0))
         sim._push(t, engine.EVENT_FINISH, ())
-    heapq.heappush(sim._starts, 10.0)
-    heapq.heappush(sim._starts, 20.0)
+        sim._push(t, engine.EVENT_TRANSFER, ((), 0.0))
+        sim._push(t, engine.EVENT_BOOT, None)
     sim.execute()
-    assert seen == [(5.0, "finish"), (5.0, "transfer"), (5.0, "start"),
-                    (5.0, "arrival"), (10.0, "finish"), (10.0, "transfer"),
-                    (10.0, "start"), (10.0, "start"), (10.0, "arrival"),
-                    (20.0, "start")]
+    assert seen == [(5.0, "boot"), (5.0, "transfer"), (5.0, "finish"),
+                    (5.0, "start"), (5.0, "arrival"), (10.0, "boot"),
+                    (10.0, "transfer"), (10.0, "finish"), (10.0, "start"),
+                    (10.0, "start"), (10.0, "arrival"), (20.0, "start")]
+
+
+def test_unsorted_requests_arrive_in_time_order_then_list_order(monkeypatch):
+    chain = ServiceChain(1, {1}, set())
+    sc = Scenario(policy="lfff", chains=[chain], request_count=4)
+    requests = [UserRequest(rid, 1, at, 5000.0, 10.0)
+                for rid, at in ((3, 20.0), (2, 5.0), (0, 5.0), (1, 10.0))]
+    arrivals = []
+    on_arrival = SimulationRun._on_arrival
+
+    def recording(self, request):
+        arrivals.append((self.now, request.request_id))
+        on_arrival(self, request)
+
+    monkeypatch.setattr(SimulationRun, "_on_arrival", recording)
+    sim = SimulationRun(sc, requests=list(requests),
+                        service_defs={1: MicroServiceDef(1, 50.0, 10.0, 1.0, 1)})
+    sim.execute()
+    assert arrivals == [(5.0, 2), (5.0, 0), (10.0, 1), (20.0, 3)]
+    assert sim.arrived == sim.completed == 4
+    validate_run(sim)
+
+
+def test_second_execute_adds_no_arrival_and_reports_the_same():
+    sim = SimulationRun(Scenario(policy="fws", request_count=60, rng_seed=4))
+    first = sim.execute()
+    placements = list(sim.placements)
+    assert sim.arrived == 60
+    assert sim.execute() == first
+    assert sim.arrived == 60 and sim.placements == placements
+    validate_run(sim)
+
+
+def test_finish_pass_at_a_transfer_end_sees_its_links_released():
+    # Request 0 holds 1 GB of machine 0 on node 0 for long; request 1's
+    # service 1 shares machine 0, and its 2 GB successor waits until
+    # request 2 frees machine 1 on node 1 at 10 ms.  A transfer between
+    # the two nodes, started by hand, ends at 10 ms too: the finish pass
+    # must see its links released.
+    two = VmType("two", 2.0, 2, 25.0, 0.1)
+    topo = TopologySpec(micro_count=2, core_count=1, micro_slots=1, core_slots=1)
+    chains = [ServiceChain(1, {1, 2}, {(1, 2)}), ServiceChain(2, {3}, set()),
+              ServiceChain(3, {4}, set())]
+    defs = {1: MicroServiceDef(1, 5.0, 100.0, 1.0, 1),
+            2: MicroServiceDef(2, 5.0, 10.0, 2.0, 1),
+            3: MicroServiceDef(3, 10.0, 10.0, 1.0, 1),
+            4: MicroServiceDef(4, 100.0, 10.0, 1.0, 1)}
+    # no catalog type covers a demand, so nothing is provisioned
+    sc = Scenario(policy="fws", chains=chains, request_count=3, topology_spec=topo,
+                  catalog=[VmType("tiny", 0.5, 1, 25.0, 0.01)],
+                  resume_latency_ms=0.0)
+    requests = [UserRequest(rid, cid, 0.0, 5000.0, 10.0)
+                for rid, cid in ((0, 3), (1, 1), (2, 2))]
+    sim = SimulationRun(sc, requests=requests, service_defs=defs,
+                        initial_machines=[(0, two), (1, two)])
+    src, dst = sim.machines
+    idle_ms = 100.0 / 25.0 + 1000.0 * sim.topology.path_delay_s(0, 1)
+    _, transfer = sim.topology.start_transfer(src, dst, 100.0)
+    loaded_ms, probe = sim.topology.start_transfer(src, dst, 100.0)
+    sim.topology.end_transfer(*probe)
+    assert loaded_ms > idle_ms
+    sim._push(10.0, engine.EVENT_TRANSFER, transfer)
+    sim.execute()
+    succ = next(p for p in sim.placements if (p.instance_id, p.service_id) == (1, 2))
+    assert (succ.machine_id, succ.dispatch_ms) == (1, 10.0)
+    assert succ.transfers_in == {1: idle_ms}
+    validate_run(sim)
 
 
 def test_link_loads_return_to_background_after_quiescence():
@@ -350,6 +426,14 @@ def test_release_that_does_not_fit_keeps_the_demand_memoised(monkeypatch):
     assert len(seen) == 4 and sim.ready == []
 
 
+def pop_boots(sim, at_ms):
+    """Handle the boot events due at `at_ms`, as `execute` would; a boot
+    triggers no pass."""
+    sim.now = at_ms
+    while sim._events and sim._events[0][:2] == (at_ms, engine.EVENT_BOOT):
+        sim._freed(heapq.heappop(sim._events)[3])
+
+
 def test_machine_that_finishes_booting_retries_a_failed_demand(monkeypatch):
     # each request provisions a 4-core machine that boots for 50 ms; with
     # both slots taken, the third waits for a boot, not for a release
@@ -362,13 +446,14 @@ def test_machine_that_finishes_booting_retries_a_failed_demand(monkeypatch):
         arrive(sim, rid, 1, 0.0)
     assert len(sim.machines) == 2 and sim._failed == {(1.0, 1): {}}
     assert len(seen) == 3
-    sim.now = 49.0
-    sim._dispatch()
+    pop_boots(sim, 49.0)
+    assert memoised(sim) == {(1.0, 1)}
+    pop_boots(sim, 50.0)
     assert len(seen) == 3 and [e.instance_id for e in sim.ready] == [2]
-    sim.now = 50.0
+    assert memoised(sim) == set() and set(sim._failed[1.0, 1]) == {0, 1}
     sim._dispatch()
     assert len(seen) == 4 and sim.ready == []
-    assert sim.placements[-1].machine_id == 0 and sim._booting == []
+    assert sim.placements[-1].machine_id == 0
     assert memoised(sim) == set() and set(sim._failed[1.0, 1]) == {0, 1}
 
 
@@ -447,15 +532,17 @@ def test_simulation_run_has_fewer_than_30_instance_attributes():
 
 
 def test_booting_machine_joins_ranked_at_its_boot_pass():
+    # its boot event sorts before every pass at its time
     sim = two_slot_run([ServiceChain(1, {1}, set())],
                        {1: MicroServiceDef(1, 500.0, 10.0, 1.0, 1)},
                        catalog=[VmType("wide", 8.0, 4, 25.0, 0.2)])
     arrive(sim, 0, 1, 0.0)
     machine = sim.machines[0]
     assert machine.active_at_ms > 0.0 and machine not in sim.ranked
-    sim.now = machine.active_at_ms
-    sim._dispatch()
-    assert machine in sim.ranked and sim._booting == []
+    assert sim._events[0] == (machine.active_at_ms, engine.EVENT_BOOT, 1, machine)
+    pop_boots(sim, machine.active_at_ms)
+    assert machine in sim.ranked
+    assert all(t > machine.active_at_ms for t, *_ in sim._events)
 
 
 FINITE = dict(allow_nan=False, allow_infinity=False)

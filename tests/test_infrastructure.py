@@ -259,18 +259,21 @@ def test_transfer_across_nodes_waits_out_its_route_and_loads_it():
     route = topo.route(0, 5)
     assert len(route) == 3
     expected = 100.0 / 56.25 + 1000.0 * topo.path_delay_s(0, 5)
-    delay_ms, transfer = topo.start_transfer(a, far, 100.0)
+    delay_ms, (path, rate_pps) = topo.start_transfer(a, far, 100.0)
     assert delay_ms == expected
-    assert transfer == (route, topo.line_rate_pps(56.25))
+    # the topology's own Links along the route, for end_transfer to walk
+    assert len(path) == 3
+    assert all(link is topo.links[key] for key, link in zip(route, path))
+    assert rate_pps == topo.line_rate_pps(56.25)
     for key, link in topo.links.items():
-        assert link.transfer_pps == (transfer[1] if key in route else 0.0)
+        assert link.transfer_pps == (rate_pps if key in route else 0.0)
 
 
 def test_second_transfer_sees_the_first_ones_load():
     topo, a, _, far, near = transfer_topology()
     idle_ms = 100.0 / 56.25 + 1000.0 * topo.path_delay_s(0, 1)
     _, first = topo.start_transfer(a, far, 100.0)
-    shared = set(topo.route(0, 1)) & set(first[0])
+    shared = set(topo.route(0, 1)) & set(topo.route(0, 5))
     assert shared  # node 0's access link
     loaded_ms = 100.0 / 56.25 + 1000.0 * topo.path_delay_s(0, 1)
     assert loaded_ms > idle_ms

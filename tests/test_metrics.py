@@ -79,11 +79,11 @@ def test_total_cost_is_a_float_with_no_machine():
         assert cost == 0.0 and type(cost) is float
 
 
-def test_replay_accepts_either_load_at_an_exact_transfer_end():
+def test_replay_accepts_only_the_released_load_at_an_exact_transfer_end():
     # Request 0's transfer 0 -> 5 ends exactly when request 1 dispatches a
-    # transfer 0 -> 6 over two of the same links.  A pass triggered by a
-    # finish at that time still sees the first load, one triggered by a
-    # start or an arrival does not; one float later, it is gone for good.
+    # transfer 0 -> 6 over two of the same links.  The engine releases a
+    # transfer before any pass at its end time, so at the tie only the
+    # unloaded delay passes; one float earlier, only the loaded one does.
     topo = default_topology()
     fast = default_catalog()[3]
     machines = [Machine(0, 0, fast), Machine(1, 5, fast), Machine(2, 6, fast)]
@@ -114,12 +114,10 @@ def test_replay_accepts_either_load_at_an_exact_transfer_end():
             sim, {0: chain, 1: chain},
             {(p.instance_id, p.service_id): p for p in placements})
 
-    replay(tie, loaded_ms)
     replay(tie, idle_ms)
-    later = math.nextafter(tie, math.inf)
-    replay(later, idle_ms)
     with pytest.raises(AssertionError, match="replay gives"):
-        replay(later, loaded_ms)
+        replay(tie, loaded_ms)
     earlier = math.nextafter(tie, -math.inf)
+    replay(earlier, loaded_ms)
     with pytest.raises(AssertionError, match="replay gives"):
         replay(earlier, idle_ms)
