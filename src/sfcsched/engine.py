@@ -142,9 +142,9 @@ class SimulationRun:
         # order (a core-full machine fits no demand; every service needs a core).
         # Keys alongside, for bisection; `_rank_of`: id -> key or None.
         self.ranked, self._ranked_keys, self._rank_of = [], [], {}
-        # (memory_gb, cores) demand that found no machine -> the machines
-        # freed since that fit it, {machine_id: machine}; see _dispatch
-        self._failed = {}
+        # the demands that found no machine in the last walked pass, and the
+        # machines freed since that fit one, {machine_id: machine}; see _dispatch
+        self._stuck, self._fresh = set(), {}
         # no pass before this time can change anything; see _dispatch
         self._walk_at = math.inf
 
@@ -192,7 +192,6 @@ class SimulationRun:
             if not entry.state.dropped:
                 self._drop(entry.state)
         self.ready.clear()
-        self._failed.clear()
         return report(self)
 
     def _on_arrival(self, request):
@@ -229,8 +228,8 @@ class SimulationRun:
         request = state.request
         label, dependents, sdef, _, demand = \
             self._services[request.chain_id, service_id]
-        # unmemoised, or with machines to retry: the next pass must walk
-        if demand not in self._failed or self._failed[demand]:
+        # a machine may fit a demand that is not stuck: the next pass must walk
+        if demand not in self._stuck:
             self._walk_at = -math.inf
         elif state.drop_at < self._walk_at:
             self._walk_at = state.drop_at
@@ -246,31 +245,32 @@ class SimulationRun:
         It fails, with no side effects, only when no machine it is passed
         fits the (memory, cores) demand and no node can take a machine of a
         type covering it.  Node slots are never freed, placements only take
-        capacity and link load decides no fit, so after a failure only a
-        machine that `_freed` handles can fit the demand: a release
-        (`_on_finish`) or a boot (an event that sorts before every pass at
-        its time).  So a failed demand joins `_failed` with an empty map,
-        and `_freed` adds each such machine that fits it.  Entries whose
-        demand has an empty map skip selection and go straight to the
-        SLA-drop check.  A retried demand's selection is passed only the
-        mapped machines that still fit, in policy order, so it picks what a
-        selection over `ranked` would; if none still fits, the map is left
-        empty and selection is skipped.  The entries neither placed nor
-        dropped, still in order, form the next queue.
+        capacity and link load decides no fit, so a failed demand joins a
+        set local to the pass and its later entries skip selection; the set
+        becomes `_stuck` when the pass ends.  From then on only a machine
+        that `_freed` handles, a release (`_on_finish`) or a boot (an event
+        that sorts before every pass at its time), can fit a stuck demand,
+        and `_freed` keeps each one that fits some stuck demand in `_fresh`
+        until the next walked pass ends.  A stuck demand's selection is
+        passed only the `_fresh` machines that still fit it, in policy
+        order, so it picks what a selection over `ranked` would; with none,
+        selection is skipped.  The entries neither placed nor dropped, still
+        in order, form the next queue.
 
-        After a walked pass every waiting demand has an empty map, so until
-        an unmemoised demand is enqueued or a demand gains a machine, a pass
-        can only drop.  It drops nothing while `now` is below the least
-        `drop_at` in the queue, because the drop test `now >= drop_at` is
-        the SLA test `now - arrival > sla` exactly.  `_walk_at` is that
-        least `drop_at`, or -inf after such an enqueue or retry; a pass
-        before it returns at once.
+        After a walked pass every waiting demand is stuck and no machine is
+        fresh, so until a demand that is not stuck is enqueued or `_freed`
+        keeps a machine, a pass can only drop.  It drops nothing while `now`
+        is below the least `drop_at` in the queue, because the drop test
+        `now >= drop_at` is the SLA test `now - arrival > sla` exactly.
+        `_walk_at` is that least `drop_at`, or -inf after such an enqueue or
+        release; a pass before it returns at once.
         """
         if self.now < self._walk_at:
             return
         now = self.now
-        failed = self._failed
+        stuck, fresh = self._stuck, self._fresh
         ranked = self.ranked
+        failed = None  # the demands that found no machine in this pass
         waiting = []
         next_drop = math.inf
         for entry in self.ready:
@@ -278,19 +278,25 @@ class SimulationRun:
             if state.dropped:  # dropped earlier in this pass
                 continue
             demand = entry.demand
-            if demand not in failed:
-                machines = ranked
-            elif failed[demand]:
-                machines = self._candidates(demand)  # None if none still fits
-            else:
+            if failed is not None and demand in failed:
                 machines = None
+            elif demand in stuck:
+                memory_gb, cores = demand
+                machines = sorted(
+                    (m for m in fresh.values() if m.fits(memory_gb, cores)),
+                    key=self._rank_key) or None
+            else:
+                machines = ranked
             if machines is not None:
                 preds = self._pred_placements(entry)
                 choice = self._select_machine(entry, preds, machines)
                 if choice is not None:
                     self._place(entry, choice, preds)
                     continue
-                failed[demand] = {}
+            if failed is None:
+                failed = {demand}
+            else:
+                failed.add(demand)
             if now >= state.drop_at:
                 self._drop(state)
             else:
@@ -299,27 +305,20 @@ class SimulationRun:
                     next_drop = state.drop_at
         self.ready = waiting
         self._walk_at = next_drop
+        if failed or stuck:
+            self._stuck = failed or set()
+        if fresh:
+            self._fresh = {}
 
     def _freed(self, machine):
-        """Re-rank `machine` after a release or its boot; retry demands it fits."""
+        """Re-rank `machine` after a release or its boot; while some demand
+        is stuck, keep it as fresh if it fits one, and wake the next pass."""
         self._rerank(machine)
-        if self._failed:
-            for (memory_gb, cores), candidates in self._failed.items():
-                if machine.fits(memory_gb, cores):
-                    candidates[machine.machine_id] = machine
-                    self._walk_at = -math.inf
-
-    def _candidates(self, demand):
-        """The machines freed since `demand` failed that still fit it, in
-        policy order, or None; no other machine fits it.  Keeps only those.
-        With none, selection would fail: the failure that memoised `demand`
-        found no node slot or no type covering it, and both still hold."""
-        memory_gb, cores = demand
-        fit = self._failed[demand] = {mid: m for mid, m in self._failed[demand].items()
-                                      if m.fits(memory_gb, cores)}
-        if not fit:
-            return None
-        return [fit[mid] for mid in sorted(fit, key=self._rank_of.__getitem__)]
+        for memory_gb, cores in self._stuck:
+            if machine.fits(memory_gb, cores):
+                self._fresh[machine.machine_id] = machine
+                self._walk_at = -math.inf
+                return
 
     def _select_machine(self, entry, preds, machines):
         memory_gb, cores = entry.demand

@@ -117,16 +117,16 @@ def select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
     (a) a predecessor's machine with room; only when none has room, (b) any
     machine with room; both keep the one adding the least hop-weighted
     traffic, ties to the lowest machine id.  (c) `provision_choice` on the
-    free-slot node closest to the predecessors.  `machines` holds machines
-    that can take work now (active, with a free core) in ascending machine
-    id order, every one that fits the demand among them: all such machines,
-    or for a demand retried after a failure only those freed since.  So (b)
-    stops at the first machine with room whose objective is 0.0, the least
-    there is: any later machine loses the id tie-break.  (a) walks the
-    predecessors' machines in predecessor order, so it scans them all.
-    A predecessor's machine has run it, so is active; one that fits the
-    demand is in `machines` too.  Returns ("existing", machine), ("provision",
-    node_id, vm_type), or None if every node is full or no type covers it.
+    free-slot node closest to the predecessors.  `machines` holds machines that
+    can take work now (active, with a free core) in ascending machine id order,
+    every one that fits the demand among them: all such machines, or for a
+    demand stuck in the last walked pass only those freed since.  So (b) stops
+    at the first machine with room whose objective is 0.0, the least there is:
+    any later machine loses the id tie-break.  (a) walks the predecessors'
+    machines in predecessor order, so it scans them all.  A predecessor's
+    machine has run it, so is active; one that fits the demand is in `machines`
+    too.  Returns ("existing", machine), ("provision", node_id, vm_type), or
+    None if every node is full or no type covers it.
     """
     objective = {}  # node_id -> _traffic_objective, filled on first use
     for candidates, by_id in (([pm for _, pm, _ in pred_placements], False),

@@ -50,12 +50,12 @@ def greedy_select_machine(demand_memory_gb, demand_cores, machines,
 
     `machines` holds machines that can take work now (active, with a free
     core) in the policy's machine order, every one that fits the demand
-    among them: all such machines, or for a demand retried after a failure
-    only those freed since.  So the first machine with room is the least (or
-    most) utilized one.  With none, `provision_choice` with
-    no predecessors: the lowest free node.  Returns ("existing", machine) or
-    ("provision", node_id, vm_type), or None when no machine fits and every
-    node is full or no catalog type covers the demand.
+    among them: all such machines, or for a demand stuck in the last walked
+    pass only those released or booted since that fit it.  So the first
+    machine with room is the least (or most) utilized one.  With none,
+    `provision_choice` with no predecessors: the lowest free node.  Returns
+    ("existing", machine) or ("provision", node_id, vm_type), or None when
+    no machine fits and every node is full or no catalog type covers it.
     """
     for m in machines:
         vm = m.vm_type

@@ -11,7 +11,7 @@ from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest, canonica
 from sfcsched.engine import SimulationRun, run
 from sfcsched.fws import LabeledService, select_machine_fws
 from sfcsched.greedy import GREEDY_POLICIES, greedy_select_machine
-from sfcsched.infrastructure import Topology, VmType, default_catalog
+from sfcsched.infrastructure import Machine, Topology, VmType, default_catalog
 from sfcsched.metrics import validate_run
 from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
 
@@ -328,9 +328,24 @@ def count_selections(monkeypatch, passed=None):
 
 
 def memoised(sim):
-    """The failed demands whose entries skip selection: no machine has been
-    freed since that fits them."""
-    return {demand for demand, candidates in sim._failed.items() if not candidates}
+    """The stuck demands whose entries skip selection: no machine freed
+    since the last walked pass fits them."""
+    return {demand for demand in sim._stuck
+            if not any(m.fits(*demand) for m in sim._fresh.values())}
+
+
+def fresh_at_passes(monkeypatch):
+    """Wrap SimulationRun._dispatch; returns the ids in `_fresh` as each
+    pass begins."""
+    starts = []
+    dispatch = SimulationRun._dispatch
+
+    def recording(self):
+        starts.append(set(self._fresh))
+        dispatch(self)
+
+    monkeypatch.setattr(SimulationRun, "_dispatch", recording)
+    return starts
 
 
 def test_dispatch_skips_a_demand_that_already_failed(monkeypatch):
@@ -396,14 +411,14 @@ def test_release_that_fits_a_failed_demand_retries_it(monkeypatch):
                        {1: MicroServiceDef(1, 50.0, 10.0, 1.0, 1)},
                        initial_machines=[(0, small), (1, small)])
     seen = count_selections(monkeypatch)
+    fresh = fresh_at_passes(monkeypatch)
     for rid in range(3):
         arrive(sim, rid, 1, 0.0)
-    assert sim._failed == {(1.0, 1): {}} and len(seen) == 3
+    assert sim._stuck == {(1.0, 1)} and sim._fresh == {} and len(seen) == 3
     finish(sim, 0, 1, 50.0)
-    assert memoised(sim) == set() and len(seen) == 4
-    assert sim._failed == {(1.0, 1): {0: sim.machines[0]}}
+    assert fresh[-1] == {0} and len(seen) == 4
     assert [(p.instance_id, p.machine_id) for p in sim.placements][-1] == (2, 0)
-    assert sim.ready == []
+    assert sim.ready == [] and sim._stuck == set() and sim._fresh == {}
 
 
 def test_release_that_does_not_fit_keeps_the_demand_memoised(monkeypatch):
@@ -418,9 +433,9 @@ def test_release_that_does_not_fit_keeps_the_demand_memoised(monkeypatch):
     arrive(sim, 0, 1, 0.0)
     arrive(sim, 1, 2, 0.0)
     arrive(sim, 2, 2, 1.0)
-    assert sim._failed == {(6.0, 1): {}} and len(seen) == 3
+    assert sim._stuck == {(6.0, 1)} and sim._fresh == {} and len(seen) == 3
     finish(sim, 0, 1, 50.0)
-    assert sim._failed == {(6.0, 1): {}} and len(seen) == 3
+    assert sim._stuck == {(6.0, 1)} and sim._fresh == {} and len(seen) == 3
     assert [e.instance_id for e in sim.ready] == [2]
     finish(sim, 1, 2, 60.0)
     assert len(seen) == 4 and sim.ready == []
@@ -444,17 +459,17 @@ def test_machine_that_finishes_booting_retries_a_failed_demand(monkeypatch):
     seen = count_selections(monkeypatch)
     for rid in range(3):
         arrive(sim, rid, 1, 0.0)
-    assert len(sim.machines) == 2 and sim._failed == {(1.0, 1): {}}
+    assert len(sim.machines) == 2 and sim._stuck == {(1.0, 1)}
     assert len(seen) == 3
     pop_boots(sim, 49.0)
-    assert memoised(sim) == {(1.0, 1)}
+    assert memoised(sim) == {(1.0, 1)} and sim._fresh == {}
     pop_boots(sim, 50.0)
     assert len(seen) == 3 and [e.instance_id for e in sim.ready] == [2]
-    assert memoised(sim) == set() and set(sim._failed[1.0, 1]) == {0, 1}
+    assert memoised(sim) == set() and set(sim._fresh) == {0, 1}
     sim._dispatch()
     assert len(seen) == 4 and sim.ready == []
     assert sim.placements[-1].machine_id == 0
-    assert memoised(sim) == set() and set(sim._failed[1.0, 1]) == {0, 1}
+    assert sim._stuck == set() and sim._fresh == {}
 
 
 # 2 GB and 4 cores: one 2 GB service fills the memory and leaves free cores,
@@ -470,7 +485,7 @@ def test_retry_is_passed_only_the_machine_freed_since_the_failure(monkeypatch):
     seen = count_selections(monkeypatch, passed)
     for rid in range(3):
         arrive(sim, rid, 1, 0.0)
-    assert sim._failed == {(2.0, 1): {}} and len(seen) == 3
+    assert sim._stuck == {(2.0, 1)} and sim._fresh == {} and len(seen) == 3
     assert passed[2] == sim.ranked == sim.machines
     finish(sim, 1, 1, 50.0)
     assert len(seen) == 4 and passed[3] == [sim.machines[1]]
@@ -500,16 +515,19 @@ def test_retry_whose_machines_were_taken_memoises_the_demand_again(monkeypatch):
     assert len(seen) == 5 and [e.instance_id for e in sim.ready] == [3]
 
 
-def test_candidate_maps_stay_within_the_machines_and_clear_at_quiescence(monkeypatch):
+def test_fresh_machines_stay_within_the_machines_and_each_fits_a_stuck_demand(
+        monkeypatch):
     # an overload cell: 200 requests at 2000 rps fill every VM slot
     largest = [0]
     freed = SimulationRun._freed
 
     def traced(self, machine):
         freed(self, machine)
-        for candidates in self._failed.values():
-            assert all(self.machines[mid] is m for mid, m in candidates.items())
-            largest[0] = max(largest[0], len(candidates))
+        # between passes capacity only grows, so each kept machine still fits
+        for mid, m in self._fresh.items():
+            assert self.machines[mid] is m
+            assert any(m.fits(*demand) for demand in self._stuck)
+        largest[0] = max(largest[0], len(self._fresh))
 
     monkeypatch.setattr(SimulationRun, "_freed", traced)
     for policy in ("fws", "lfff"):
@@ -517,9 +535,30 @@ def test_candidate_maps_stay_within_the_machines_and_clear_at_quiescence(monkeyp
         sim = SimulationRun(Scenario(policy=policy, request_count=200,
                                      arrival_rate_rps=2000.0, rng_seed=100))
         sim.execute()
-        assert sim._failed == {} and sim.dropped > 0
+        assert sim.ready == [] and sim.dropped > 0
         assert 0 < largest[0] <= len(sim.machines)
         validate_run(sim)
+
+
+def test_release_after_a_pass_that_placed_everything_tests_no_fit(monkeypatch):
+    # request 2 fails, then takes machine 0 when request 0 finishes; that
+    # pass leaves nothing stuck, so releasing machine 1 needs no fit test
+    sim = full_two_slot_run()
+    for rid in range(3):
+        arrive(sim, rid, 1, 0.0)
+    assert sim._stuck == {(1.0, 1)}
+    finish(sim, 0, 1, 50.0)
+    assert sim.ready == [] and sim._stuck == set()
+    fits = []
+    fit = Machine.fits
+
+    def counting(machine, memory_gb, cores):
+        fits.append(machine.machine_id)
+        return fit(machine, memory_gb, cores)
+
+    monkeypatch.setattr(Machine, "fits", counting)
+    finish(sim, 1, 1, 60.0)
+    assert fits == [] and sim._fresh == {}
 
 
 def test_simulation_run_has_fewer_than_30_instance_attributes():
@@ -592,7 +631,7 @@ def test_pass_that_can_change_nothing_reads_no_request():
         arrive(sim, rid, 1, 0.0)
     queue = sim.ready
     assert [e.instance_id for e in queue] == [2, 3, 4, 5]
-    assert sim._failed == {(1.0, 1): {}}
+    assert sim._stuck == {(1.0, 1)} and sim._fresh == {}
     sim.now = 1.0  # no release, no boot, below every drop time
     # each entry carries its request's state, so reading one needs the queue
     states, sim.states = sim.states, NoLookups()
@@ -792,20 +831,26 @@ def test_validate_run_replays_boot_waits():
 def test_selection_sees_free_core_machines_in_policy_order(monkeypatch):
     # mixed core counts (a 4-core type, 1-3 core demands) make machines go
     # core-full and come back; preprovisioned machines start in the order.
-    # A demand that has not failed is passed every active free-core
-    # machine; a retried one only those freed since it failed, and among
-    # them every free-core machine that fits it.
+    # A demand that is not stuck is passed every active free-core machine;
+    # a stuck one only those released or booted since the last walked pass,
+    # and among them every free-core machine that fits it.
     wide_catalog = CATALOGS[2]
     calls = {"fws": 0, "greedy": 0, "retry": 0}
-    freed_since = {}  # failed demand -> ids freed since its last failure
-    freed = SimulationRun._freed
+    freed_since = set()  # ids released or booted since the last walked pass
+    freed, dispatch = SimulationRun._freed, SimulationRun._dispatch
 
     def recording(self, machine):
-        for ids in freed_since.values():
-            ids.add(machine.machine_id)
+        freed_since.add(machine.machine_id)
         freed(self, machine)
 
+    def walking(self):
+        before = self.ready
+        dispatch(self)
+        if self.ready is not before:  # the pass walked
+            freed_since.clear()
+
     monkeypatch.setattr(SimulationRun, "_freed", recording)
+    monkeypatch.setattr(SimulationRun, "_dispatch", walking)
     for seed in range(200):
         rng = random.Random(seed)
         policy = rng.choice(("fws", "lfff", "mfff"))
@@ -831,19 +876,16 @@ def test_selection_sees_free_core_machines_in_policy_order(monkeypatch):
             calls[kind] += 1
             free = sorted((m for m in sim.machines if m.used_cores < m.vm_type.cores
                            and m.active_at_ms <= sim.now), key=key)
-            if demand in sim._failed:
+            if demand in sim._stuck:
                 calls["retry"] += 1
                 assert machines == [m for m in free if m.fits(*demand)]
-                assert {m.machine_id for m in machines} <= freed_since[demand]
+                assert {m.machine_id for m in machines} <= freed_since
             else:
                 assert machines == free
 
         def checked(select, kind, demand, machines, args):
             check(kind, demand, machines)
-            choice = select(*args)
-            if choice is None:
-                freed_since[demand] = set()
-            return choice
+            return select(*args)
 
         def checked_greedy(*args):
             return checked(greedy_select_machine, "greedy", args[:2], args[2], args)

@@ -4,7 +4,8 @@ A dispatch pass that walks the ready queue leaves an entry waiting only if
 nothing could place it: no active machine with a free core fits its demand,
 and either no node has a free VM slot or no catalog type covers the demand.
 The check reads machines, nodes and the catalog directly, not the engine's
-`ranked` order, memo or kept node list.
+`ranked` order or kept node list.  The memo must then hold that claim's
+record: every waiting entry's demand is stuck, and no machine is fresh.
 """
 
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ class Checked(SimulationRun):
         super()._dispatch()
         if self.ready is before:  # the pass returned without walking
             return
+        assert self._fresh == {}, f"at {self.now} ms, machines stay fresh"
         waiting = [e for e in self.ready if not e.state.dropped]
         if not waiting:
             return
@@ -39,6 +41,9 @@ class Checked(SimulationRun):
         for entry in waiting:
             sdef = self.defs[entry.service_id]
             memory_gb, cores = sdef.memory_gb, sdef.cores
+            assert (memory_gb, cores) in self._stuck, \
+                f"at {now} ms, {entry.instance_id, entry.service_id} waits " \
+                f"though its demand is not stuck"
             fitting = [m.machine_id for m in free_core if m.fits(memory_gb, cores)]
             assert not fitting, \
                 f"at {now} ms, {entry.instance_id, entry.service_id} waits " \

@@ -1,12 +1,13 @@
 """The engine's dispatch against the same rules stated plainly.
 
-`Reference` re-sorts the ready queue each pass by the fair weight at `now`,
-or under a greedy baseline by the execution-time rule it states itself,
-restarts from the top after each placement or drop, and runs the
-list-building selection oracles of `test_policies` over every machine:
-no failed-demand memo, no static queue keys, no kept machine order, no
-first-fit walk.  Every fast path of the engine must leave the schedule
-and the drop count as these rules make them.
+`Reference` re-sorts the ready queue each pass by labels from criterion 2's
+brute-force labeler, then by the fair weight at `now`, or under a greedy
+baseline by the execution-time rule it states itself, restarts from the top
+after each placement or drop, and runs the list-building selection oracles
+of `test_policies` over every machine: no engine labels, no failed-demand
+memo, no static queue keys, no kept machine order, no first-fit walk.  Every
+fast path of the engine must leave the schedule and the drop count as these
+rules make them.
 """
 
 import math
@@ -20,6 +21,7 @@ from sfcsched.fws import WeightParams, compute_weight
 from sfcsched.infrastructure import VmType
 from sfcsched.metrics import validate_run
 from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
+from test_acceptance import _reference_labels
 from test_engine import CATALOGS, random_chains
 from test_policies import (LEAST_FULL, MOST_FULL, oracle_greedy_select_machine,
                            oracle_select_machine_fws)
@@ -31,15 +33,24 @@ BIG = VmType("big", 16.0, 4, 25.0, 0.3)
 class Reference(SimulationRun):
     """Dispatch and machine selection by their plain rules; slow."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reference_labels = {
+            cid: _reference_labels(chain, {sid: self.defs[sid].exec_time_ms
+                                           for sid in chain.nodes})
+            for cid, chain in self.chains.items()}
+
     def _order(self, entry):
+        chain_id = self.states[entry.instance_id].request.chain_id
+        label = self.reference_labels[chain_id][entry.service_id]
         if self._greedy:
             # highest label, then execution time, shortest first under the
             # first-finish baselines and longest under decreasing-time, then ids
             exec_ms = self.defs[entry.service_id].exec_time_ms
-            return (-entry.label, exec_ms if self.scenario.policy.endswith("ff")
+            return (-label, exec_ms if self.scenario.policy.endswith("ff")
                     else -exec_ms, entry.instance_id, entry.service_id)
         weight = compute_weight(entry, self.now, self.scenario.weights)
-        return (-entry.label, -weight, entry.enqueue_time_ms,
+        return (-label, -weight, entry.enqueue_time_ms,
                 entry.instance_id, entry.service_id)
 
     def _dispatch(self):
