@@ -47,28 +47,16 @@ class ServiceChain:
         for a, b in sorted(self.edges):
             self._succ[a].append(b)
             self._pred[b].append(a)
-        self._check_acyclic()
         self._dependents = {n: self._count_reachable(n) for n in self.nodes}
 
-    def _check_acyclic(self):
-        indeg = {n: len(self._pred[n]) for n in self.nodes}
-        queue = sorted(n for n in self.nodes if indeg[n] == 0)
-        seen = 0
-        while queue:
-            n = queue.pop()
-            seen += 1
-            for s in self._succ[n]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    queue.append(s)
-        if seen != len(self.nodes):
-            raise CycleDetected(f"chain {self.chain_id} edges contain a cycle")
-
     def _count_reachable(self, start):
+        """How many services `start` reaches; a cycle if it reaches itself."""
         seen = set()
         stack = list(self._succ[start])
         while stack:
             n = stack.pop()
+            if n == start:
+                raise CycleDetected(f"chain {self.chain_id} edges contain a cycle")
             if n not in seen:
                 seen.add(n)
                 stack.extend(self._succ[n])

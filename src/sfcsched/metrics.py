@@ -123,18 +123,17 @@ def report(sim) -> MetricsReport:
 def validate_run(sim) -> None:
     """Assert schedule invariants from the recorded placements alone.
 
-    Checks precedence timing, each boot wait and transfer delay by replay
-    (`_replay_boot_and_transfers`), machine capacity at every holding
-    boundary, request conservation, label validity, that every machine has
-    its capacity back and every link its transfer load (to 1e-9 pps) at
-    quiescence, that `ranked` holds the machines in the policy's machine
-    order, and that the online traffic accumulator matches an independent
-    recount.  Raises AssertionError.
+    Checks request conservation and label validity, then replays the
+    placements (`_replay`): dispatch order, each boot wait and transfer
+    delay, precedence, the start and finish times and machine capacity.
+    Then that every machine has its capacity back and every link its
+    transfer load (to 1e-9 pps) at quiescence, that `ranked` holds the
+    machines in the policy's machine order, node slot bounds, and that the
+    online traffic accumulator matches an independent recount.  Raises
+    AssertionError.
     """
-    defs = sim.defs
     chain_of_instance = {rid: sim.chains[st.request.chain_id]
                          for rid, st in sim.states.items()}
-    by_key = {(p.instance_id, p.service_id): p for p in sim.placements}
 
     # conservation
     assert sim.completed + sim.dropped == sim.arrived, "conservation violated"
@@ -148,43 +147,7 @@ def validate_run(sim) -> None:
             assert labels[i] > labels[j], \
                 f"chain {cid}: label({i}) <= label({j}) on edge"
 
-    _replay_boot_and_transfers(sim, chain_of_instance, by_key)
-
-    # placement timing identities and precedence
-    for p in sim.placements:
-        sdef = defs[p.service_id]
-        assert math.isclose(p.finish_ms, p.start_ms + sdef.exec_time_ms,
-                            rel_tol=1e-9, abs_tol=1e-6), "finish != start + exec"
-        expected_start = (p.dispatch_ms + p.boot_wait_ms + p.transfer_ms
-                          + sim.scenario.resume_latency_ms)
-        assert math.isclose(p.start_ms, expected_start,
-                            rel_tol=1e-9, abs_tol=1e-6), "start breakdown mismatch"
-        chain = chain_of_instance[p.instance_id]
-        for pred in chain.predecessors(p.service_id):
-            pp = by_key[(p.instance_id, pred)]
-            gap = p.transfers_in.get(pred, 0.0)
-            assert p.start_ms >= pp.finish_ms + gap - 1e-6, \
-                "successor started before predecessor finish + transfer"
-
-    # machine capacity at every holding boundary
-    by_machine = {}
-    for p in sim.placements:
-        by_machine.setdefault(p.machine_id, []).append(p)
-    for mid, plist in by_machine.items():
-        vm = sim.machines[mid].vm_type
-        deltas = []
-        for p in plist:
-            sdef = defs[p.service_id]
-            deltas.append((p.dispatch_ms, sdef.memory_gb, sdef.cores))
-            deltas.append((p.finish_ms, -sdef.memory_gb, -sdef.cores))
-        # releases sort before acquisitions at equal timestamps
-        deltas.sort(key=lambda d: (d[0], d[1]))
-        mem = cores = 0
-        for _, dm, dc in deltas:
-            mem += dm
-            cores += dc
-            assert mem <= vm.memory_gb + 1e-6, f"machine {mid}: memory overcommit"
-            assert cores <= vm.cores, f"machine {mid}: core overcommit"
+    _replay(sim, chain_of_instance)
 
     # capacity and link load returned: every service and transfer finished
     for m in sim.machines:
@@ -206,75 +169,100 @@ def validate_run(sim) -> None:
         assert count <= sim.topology.nodes[nid].vm_slots, f"node {nid}: slots exceeded"
 
     # traffic recount
-    recount = accumulate_traffic(sim.placements, chain_of_instance, defs)
+    recount = accumulate_traffic(sim.placements, chain_of_instance, sim.defs)
     assert math.isclose(recount, sim.traffic_kb, rel_tol=1e-9, abs_tol=1e-6), \
         f"traffic recount {recount} != online accumulator {sim.traffic_kb}"
 
 
-def _replay_boot_and_transfers(sim, chain_of_instance, by_key):
-    """Recompute each placement's boot wait and inbound transfer delays
-    from the schedule, the topology and the machines alone.
+def _replay(sim, chain_of_instance):
+    """Check every placement in one walk over the schedule in list order,
+    which is dispatch order, from the topology and the machines alone.
 
-    Placements are walked in list order, which is dispatch order, with a
-    link-load ledger of the replay's own: it adds each cross-node
-    transfer's line rate, in ascending predecessor id order, and takes it
-    off once the transfer's end time is reached, as the engine releases a
-    transfer before any pass at its end time.
+    One heap of end times holds what is in use: each placement's memory
+    and cores on its machine until it finishes, and each cross-node
+    transfer's line rate on its route's links until the transfer ends.
+    Before a placement is checked, everything that ends at or before its
+    dispatch time is released, as the engine runs a finish or a transfer
+    end before any pass at its time.  The walk recomputes the placement's
+    boot wait and inbound transfer delays, adding each transfer's load in
+    ascending predecessor id order, and checks precedence, the start and
+    finish times and the machine's capacity.
     """
-    topo = sim.topology
-    latency = sim.scenario.provision_latency_ms
-    ledger = dict.fromkeys(topo.links, 0.0)   # link key -> in-flight pps
-    in_flight = []   # heap of (end_ms, seq, route, rate_pps)
+    topo, scenario = sim.topology, sim.scenario
+    latency = scenario.provision_latency_ms
+    load = {}       # link key -> in-flight pps; (machine id, resource) -> held
+    ends = []       # heap of (end_ms, seq, ((load key, amount), ...))
     seq = itertools.count()
-    used = set()     # machines with an earlier placement
+    placed = {}     # (instance_id, service_id) -> placement, once replayed
     last = -math.inf
+
+    def hold(end_ms, amounts):
+        for k, amount in amounts:
+            load[k] = load.get(k, 0.0) + amount
+        heapq.heappush(ends, (end_ms, next(seq), amounts))
 
     for p in sim.placements:
         key = (p.instance_id, p.service_id)
         t = p.dispatch_ms
         assert t >= last, f"{key}: placements out of dispatch order"
         last = t
-        while in_flight and in_flight[0][0] <= t:
-            _, _, route, rate_pps = heapq.heappop(in_flight)
-            for k in route:
-                ledger[k] = max(0.0, ledger[k] - rate_pps)
+        while ends and ends[0][0] <= t:
+            for k, amount in heapq.heappop(ends)[2]:
+                load[k] = max(0.0, load[k] - amount)
 
-        machine = sim.machines[p.machine_id]
-        if p.machine_id not in used and machine.active_at_ms == t + latency:
+        mid = p.machine_id
+        machine = sim.machines[mid]
+        used = (mid, "cores") in load   # the machine has an earlier placement
+        if not used and machine.active_at_ms == t + latency:
             boot_ms = latency   # this placement provisioned the machine
         else:
-            assert p.machine_id in used or machine.active_at_ms == 0.0, \
-                f"{key}: first placement on machine {p.machine_id} did not provision it"
+            assert used or machine.active_at_ms == 0.0, \
+                f"{key}: first placement on machine {mid} did not provision it"
             boot_ms = max(0.0, machine.active_at_ms - t)
-        used.add(p.machine_id)
         assert math.isclose(p.boot_wait_ms, boot_ms, rel_tol=1e-9, abs_tol=1e-9), \
             f"{key}: boot wait {p.boot_wait_ms} != replayed {boot_ms}"
 
         crossing = []
         for pred in chain_of_instance[p.instance_id].predecessors(p.service_id):
-            src = sim.machines[by_key[(p.instance_id, pred)].machine_id]
-            if src is machine:
-                continue
-            crossing.append(pred)
-            got = p.transfers_in.get(pred)
-            bw = min(src.vm_type.max_bandwidth_mbps, machine.vm_type.max_bandwidth_mbps)
-            want = sim.defs[pred].data_out_kb / bw
-            route = ()
-            if src.node_id != machine.node_id:
-                route = topo.route(src.node_id, machine.node_id)
-                want += 1000.0 * sum(
-                    link_delay(min(topo.links[k].background_pps + ledger[k],
-                                   topo.rho_max * topo.links[k].mu_pps),
-                               topo.links[k].mu_pps) for k in route)
-            assert got is not None and math.isclose(got, want, rel_tol=1e-9,
-                                                    abs_tol=1e-9), \
-                f"{key}: transfer from {pred} took {got} ms, replay gives {want}"
-            if route:
-                rate_pps = bw * 1000.0 / topo.packet_kb
-                for k in route:
-                    ledger[k] += rate_pps
-                heapq.heappush(in_flight, (t + got, next(seq), route, rate_pps))
+            pp = placed.get((p.instance_id, pred))
+            assert pp is not None, f"{key}: placed before its predecessor {pred}"
+            src = sim.machines[pp.machine_id]
+            if src is not machine:
+                crossing.append(pred)
+                got = p.transfers_in.get(pred)
+                bw = min(src.vm_type.max_bandwidth_mbps,
+                         machine.vm_type.max_bandwidth_mbps)
+                want = sim.defs[pred].data_out_kb / bw
+                route = ()
+                if src.node_id != machine.node_id:
+                    route = topo.route(src.node_id, machine.node_id)
+                    want += 1000.0 * sum(
+                        link_delay(min(topo.links[k].background_pps + load.get(k, 0.0),
+                                       topo.rho_max * topo.links[k].mu_pps),
+                                   topo.links[k].mu_pps) for k in route)
+                assert got is not None and math.isclose(got, want, rel_tol=1e-9,
+                                                        abs_tol=1e-9), \
+                    f"{key}: transfer from {pred} took {got} ms, replay gives {want}"
+                if route:
+                    rate_pps = bw * 1000.0 / topo.packet_kb
+                    hold(t + got, tuple((k, rate_pps) for k in route))
+            assert p.start_ms >= pp.finish_ms + p.transfers_in.get(pred, 0.0) - 1e-6, \
+                "successor started before predecessor finish + transfer"
         assert sorted(p.transfers_in) == crossing, \
             f"{key}: transfers from {sorted(p.transfers_in)}, not {crossing}"
         assert p.transfer_ms == max(p.transfers_in.values(), default=0.0), \
             f"{key}: transfer wait is not its slowest transfer"
+
+        sdef = sim.defs[p.service_id]
+        assert math.isclose(p.finish_ms, p.start_ms + sdef.exec_time_ms,
+                            rel_tol=1e-9, abs_tol=1e-6), "finish != start + exec"
+        expected_start = t + p.boot_wait_ms + p.transfer_ms + scenario.resume_latency_ms
+        assert math.isclose(p.start_ms, expected_start,
+                            rel_tol=1e-9, abs_tol=1e-6), "start breakdown mismatch"
+
+        hold(p.finish_ms, (((mid, "memory_gb"), sdef.memory_gb),
+                           ((mid, "cores"), sdef.cores)))
+        assert load[mid, "memory_gb"] <= machine.vm_type.memory_gb + 1e-6, \
+            f"machine {mid}: memory overcommit"
+        assert load[mid, "cores"] <= machine.vm_type.cores, f"machine {mid}: core overcommit"
+        placed[key] = p

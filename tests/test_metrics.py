@@ -1,14 +1,16 @@
+import dataclasses
+import itertools
 import math
 from types import SimpleNamespace
 
 import pytest
 
 from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest
-from sfcsched.engine import Placement, run
+from sfcsched.engine import Placement, SimulationRun, run
 from sfcsched.infrastructure import Machine, default_catalog, default_topology
-from sfcsched.metrics import (_replay_boot_and_transfers, accumulate_traffic,
-                              check_sla, total_cost)
-from sfcsched.scenario import Scenario
+from sfcsched.metrics import (_replay, accumulate_traffic, check_sla, total_cost,
+                              validate_run)
+from sfcsched.scenario import Scenario, TopologySpec
 
 
 def place(iid, sid, mid):
@@ -97,22 +99,21 @@ def test_replay_accepts_only_the_released_load_at_an_exact_transfer_end():
     idle_ms, second = topo.start_transfer(machines[0], machines[2], 100.0)
     topo.end_transfer(*second)
     assert loaded_ms > idle_ms
-    tie = 10.0 + first_ms  # request 0's transfer starts at 10 ms
+    tie = 60.0 + first_ms  # request 0's transfer starts at 60 ms
 
     def replay(dispatch_ms, delay_ms):
-        placements = [Placement(0, 1, 0, 0.0, 5.0, 0.0, 0.0, 0.0),
-                      Placement(1, 1, 0, 0.0, 5.0, 0.0, 0.0, 0.0),
-                      Placement(0, 2, 1, tie, tie + 50.0, 10.0, 0.0, first_ms,
+        start_ms = dispatch_ms + delay_ms
+        placements = [Placement(0, 1, 0, 0.0, 50.0, 0.0, 0.0, 0.0),
+                      Placement(1, 1, 0, 0.0, 50.0, 0.0, 0.0, 0.0),
+                      Placement(0, 2, 1, tie, tie + 50.0, 60.0, 0.0, first_ms,
                                 {1: first_ms}),
-                      Placement(1, 2, 2, dispatch_ms + delay_ms,
-                                dispatch_ms + delay_ms + 50.0, dispatch_ms, 0.0,
+                      Placement(1, 2, 2, start_ms, start_ms + 50.0, dispatch_ms, 0.0,
                                 delay_ms, {1: delay_ms})]
         sim = SimpleNamespace(topology=topo, machines=machines, defs=defs,
                               placements=placements,
-                              scenario=SimpleNamespace(provision_latency_ms=50.0))
-        _replay_boot_and_transfers(
-            sim, {0: chain, 1: chain},
-            {(p.instance_id, p.service_id): p for p in placements})
+                              scenario=SimpleNamespace(provision_latency_ms=50.0,
+                                                       resume_latency_ms=0.0))
+        _replay(sim, {0: chain, 1: chain})
 
     replay(tie, idle_ms)
     with pytest.raises(AssertionError, match="replay gives"):
@@ -121,3 +122,154 @@ def test_replay_accepts_only_the_released_load_at_an_exact_transfer_end():
     replay(earlier, loaded_ms)
     with pytest.raises(AssertionError, match="replay gives"):
         replay(earlier, idle_ms)
+
+
+def finished_run():
+    """A small fws run with boot waits, cross-node transfers, successors on
+    their predecessor's machine, and machines whose memory and whose cores
+    two placements share at once (the seed is one that has them all)."""
+    sim = SimulationRun(Scenario(
+        policy="fws", request_count=20, arrival_rate_rps=1000.0, rng_seed=11,
+        provision_latency_ms=50.0, service_cores_choices=(1, 1, 2),
+        topology_spec=TopologySpec(micro_count=4, core_count=1, micro_slots=1,
+                                   core_slots=2)))
+    sim.execute()
+    return sim
+
+
+def first(items, test):
+    return next(x for x in items if test(x))
+
+
+def colocated_successor(sim):
+    """Indices of a placement and of a successor whose predecessors all ran
+    on its own machine."""
+    index = {(p.instance_id, p.service_id): k for k, p in enumerate(sim.placements)}
+    for j, s in enumerate(sim.placements):
+        chain = sim.chains[sim.states[s.instance_id].request.chain_id]
+        preds = chain.predecessors(s.service_id)
+        if preds and not s.transfers_in:
+            return index[s.instance_id, preds[0]], j
+    raise LookupError("no co-located successor")
+
+
+def move_successor(sim, before):
+    """Redispatch a co-located successor at its predecessor's dispatch time,
+    listed just before or just after it, with consistent timings."""
+    i, j = colocated_successor(sim)
+    pred, succ = sim.placements[i], sim.placements.pop(j)
+    succ.dispatch_ms, succ.boot_wait_ms = pred.dispatch_ms, pred.boot_wait_ms
+    succ.start_ms = pred.dispatch_ms + pred.boot_wait_ms + sim.scenario.resume_latency_ms
+    succ.finish_ms = succ.start_ms + sim.defs[succ.service_id].exec_time_ms
+    sim.placements.insert(i if before else i + 1, succ)
+
+
+def provisioned(sim):
+    """A machine its first placement provisioned."""
+    return first(sim.machines, lambda m: m.active_at_ms > 0.0)
+
+
+def shrink_machine(sim, resource):
+    """Shrink a machine's `resource` to the most that one placement on it
+    takes, less than two of its placements hold at once."""
+    def demand(p):
+        return getattr(sim.defs[p.service_id], resource)
+
+    for p, q in itertools.combinations(sim.placements, 2):
+        if p.machine_id == q.machine_id and q.dispatch_ms < p.finish_ms:
+            most = max(demand(r) for r in sim.placements if r.machine_id == p.machine_id)
+            if demand(p) + demand(q) > most:
+                machine = sim.machines[p.machine_id]
+                machine.vm_type = dataclasses.replace(machine.vm_type, **{resource: most})
+                return
+    raise LookupError(f"no two placements on a machine overcommit its {resource}")
+
+
+def transferring(sim):
+    return first(sim.placements, lambda p: p.transfers_in)
+
+
+def halve_a_transfer(sim):
+    transfers_in = transferring(sim).transfers_in
+    transfers_in[min(transfers_in)] /= 2
+
+
+def delay_start(sim):
+    for name in ("start_ms", "finish_ms"):
+        add(sim.placements[3], name, 1.0)
+
+
+def add(obj, name, amount):
+    setattr(obj, name, getattr(obj, name) + amount)
+
+
+def swap_edge_labels(sim):
+    labels = sim.labels[1]
+    labels[1], labels[2] = labels[2], labels[1]
+
+
+# check -> (corruption of a finished run, the message it must raise)
+CORRUPTIONS = {
+    "conservation": (lambda sim: add(sim, "completed", 1), "conservation violated"),
+    "labels permutation": (lambda sim: sim.labels[1].update({1: 99}),
+                           "chain 1: labels are not a permutation"),
+    "labels edge order": (swap_edge_labels, r"chain 1: label\(1\) <= label\(2\) on edge"),
+    "dispatch order": (lambda sim: setattr(sim.placements[-1], "dispatch_ms",
+                                           sim.placements[-2].dispatch_ms - 1.0),
+                       "placements out of dispatch order"),
+    "first placement provisions": (lambda sim: add(provisioned(sim), "active_at_ms", 1.0),
+                                   "did not provision it"),
+    "boot wait": (lambda sim: setattr(first(sim.placements, lambda p: p.boot_wait_ms > 0),
+                                      "boot_wait_ms", 0.0), "boot wait 0.0 != replayed"),
+    "transfer delay": (halve_a_transfer, "replay gives"),
+    "transfer set": (lambda sim: sim.placements[colocated_successor(sim)[1]].transfers_in
+                     .update({0: 0.0}), r"transfers from \[0\], not \[\]"),
+    "transfer maximum": (lambda sim: add(transferring(sim), "transfer_ms", 1.0),
+                         "transfer wait is not its slowest transfer"),
+    "start identity": (delay_start, "start breakdown mismatch"),
+    "finish identity": (lambda sim: add(sim.placements[3], "finish_ms", 1.0),
+                        r"finish != start \+ exec"),
+    "precedence": (lambda sim: move_successor(sim, before=False),
+                   "successor started before predecessor finish"),
+    # listed first, it also starts before its predecessor finishes: the
+    # precedence check reports it if nothing looks earlier
+    "successor listed first": (lambda sim: move_successor(sim, before=True),
+                               "before (its )?predecessor"),
+    "memory overcommit": (lambda sim: shrink_machine(sim, "memory_gb"),
+                          r"machine \d+: memory overcommit"),
+    "core overcommit": (lambda sim: shrink_machine(sim, "cores"),
+                        r"machine \d+: core overcommit"),
+    "still hosts": (lambda sim: sim.machines[0].hosted.add((0, 1)),
+                    r"machine 0: still hosts \[\(0, 1\)\]"),
+    "cores released": (lambda sim: add(sim.machines[0], "used_cores", 1),
+                       "machine 0: cores not released"),
+    "memory released": (lambda sim: add(sim.machines[0], "used_memory_gb", 1.0),
+                        "machine 0: memory not released"),
+    "link load released": (lambda sim: add(next(iter(sim.topology.links.values())),
+                                           "transfer_pps", 1.0),
+                           "transfer load not released"),
+    "ranked order": (lambda sim: sim.ranked.reverse(), "ranked machines out of order"),
+    "slot bounds": (lambda sim: setattr(sim.topology.nodes[sim.machines[0].node_id],
+                                        "vm_slots", 0), "slots exceeded"),
+    "traffic recount": (lambda sim: add(sim, "traffic_kb", 1.0),
+                        "!= online accumulator"),
+}
+
+
+def test_the_run_to_corrupt_passes_and_has_each_feature_a_corruption_needs():
+    sim = finished_run()
+    validate_run(sim)
+    assert provisioned(sim) and colocated_successor(sim)
+    node = {(p.instance_id, p.service_id): sim.machines[p.machine_id].node_id
+            for p in sim.placements}
+    assert any(node[p.instance_id, pred] != node[p.instance_id, p.service_id]
+               for p in sim.placements for pred in p.transfers_in)
+
+
+@pytest.mark.parametrize("check", CORRUPTIONS)
+def test_validate_run_flags_each_corruption_with_its_own_message(check):
+    corrupt, message = CORRUPTIONS[check]
+    sim = finished_run()
+    corrupt(sim)
+    with pytest.raises(AssertionError, match=message):
+        validate_run(sim)

@@ -3,22 +3,26 @@
 Each mutant below breaks one rule of the engine by a monkeypatch.  Over a
 few small seeded runs past saturation, one of the oracles must flag it: the
 pass-end invariant (`test_pass_invariant.Checked`), `validate_run`, or the
-schedule and drop count of `test_reference.Reference`.  The schedule
-digests are not used, so a mutant that only they would catch fails here.
+schedule and drop count of `test_reference.Reference`, all three run by
+`test_reference.assert_matches_reference`.  The schedule digests are not
+used, so a mutant that only they would catch fails here.  A mutant of the
+code `Reference` shares with the engine (`_place`, the transfer model)
+leaves both schedules alike, so `validate_run` itself must flag those.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from sfcsched import engine
+from sfcsched import engine, fws, greedy
 from sfcsched.engine import SimulationRun
-from sfcsched.infrastructure import default_catalog
+from sfcsched.greedy import GREEDY_POLICIES, decreasing_time
+from sfcsched.infrastructure import Topology, default_catalog, provision_choice
 from sfcsched.metrics import validate_run
 from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
 from test_acceptance import _reference_labels
-from test_pass_invariant import Checked
-from test_reference import Reference, schedule
+from test_reference import assert_matches_reference
 
 
 def small_runs(count=10):
@@ -44,13 +48,22 @@ def small_runs(count=10):
 
 def flagged(sc, inputs):
     """Whether an oracle rejects the engine's run of `sc`."""
-    sim = Checked(sc, **inputs)
     try:
-        engine_schedule = schedule(sim)
+        assert_matches_reference(sc, inputs)
+    except AssertionError:
+        return True
+    return False
+
+
+def flagged_by_validate_run(sc, inputs):
+    """Whether `validate_run` alone rejects the engine's run of `sc`."""
+    sim = SimulationRun(sc, **inputs)
+    sim.execute()
+    try:
         validate_run(sim)
     except AssertionError:
         return True
-    return engine_schedule != schedule(Reference(sc, **inputs))
+    return False
 
 
 def no_fresh_machine(monkeypatch):
@@ -93,8 +106,128 @@ def labels_prefer_longest_exec(monkeypatch):
     monkeypatch.setattr(engine, "assign_labels", longest_first)
 
 
+def boot_not_charged(monkeypatch):
+    """A provisioning placement starts as if its new machine were active at
+    once, though the machine still boots for the provisioning latency."""
+    place, provision = SimulationRun._place, SimulationRun._provision
+
+    def uncharged(self, entry, choice, preds):
+        scenario = self.scenario
+        self.scenario = dataclasses.replace(scenario, provision_latency_ms=0.0)
+        self._provision = lambda node_id, vm_type, active_at_ms: provision(
+            self, node_id, vm_type, active_at_ms + scenario.provision_latency_ms)
+        try:
+            place(self, entry, choice, preds)
+        finally:
+            self.scenario = scenario
+            del self._provision
+
+    monkeypatch.setattr(SimulationRun, "_place", uncharged)
+
+
+def transfer_delays_halved(monkeypatch):
+    """A transfer takes, and loads its links for, half its delay."""
+    start_transfer = Topology.start_transfer
+
+    def halved(self, src_machine, dst_machine, data_kb):
+        delay_ms, transfer = start_transfer(self, src_machine, dst_machine, data_kb)
+        return delay_ms / 2, transfer
+
+    monkeypatch.setattr(Topology, "start_transfer", halved)
+
+
+def transfers_load_no_link(monkeypatch):
+    """A cross-node transfer waits out its route's delay but loads no link."""
+    start_transfer = Topology.start_transfer
+
+    def unloaded(self, src_machine, dst_machine, data_kb):
+        delay_ms, transfer = start_transfer(self, src_machine, dst_machine, data_kb)
+        if transfer is not None:
+            self.end_transfer(*transfer)
+        return delay_ms, None
+
+    monkeypatch.setattr(Topology, "start_transfer", unloaded)
+
+
+def first_finish_by_decreasing_time(monkeypatch):
+    """`lfff` and `mfff` order their queues longest execution first."""
+    for name in ("lfff", "mfff"):
+        monkeypatch.setitem(GREEDY_POLICIES, name,
+                            (GREEDY_POLICIES[name][0], decreasing_time))
+
+
+def drop_at(factor):
+    def mutant(monkeypatch):
+        drop_time = engine._drop_time
+        monkeypatch.setattr(engine, "_drop_time",
+                            lambda arrival_ms, sla_ms: drop_time(arrival_ms, factor * sla_ms))
+
+    mutant.__doc__ = f"A request expires at {factor} times its delay SLA."
+    mutant.__name__ = f"drop_at_{factor}x_sla"
+    return mutant
+
+
+def fws_ignores_affinity(monkeypatch):
+    """fws selects as if the service had no predecessors."""
+    select = engine.select_machine_fws
+    monkeypatch.setattr(engine, "select_machine_fws",
+                        lambda memory_gb, cores, preds, *args: select(memory_gb, cores,
+                                                                      [], *args))
+
+
+def fws_takes_first_fit(monkeypatch):
+    """fws takes the first machine with room, whatever its traffic."""
+    select = engine.select_machine_fws
+
+    def first_fit(memory_gb, cores, preds, machines, *args):
+        fitting = [m for m in machines if m.fits(memory_gb, cores)]
+        return ("existing", fitting[0]) if fitting else \
+            select(memory_gb, cores, preds, machines, *args)
+
+    monkeypatch.setattr(engine, "select_machine_fws", first_fit)
+
+
+def fws_queue_ignores_label(monkeypatch):
+    """The fws queue orders by weight alone, not label first."""
+    priority_key = engine.priority_key
+    monkeypatch.setattr(engine, "priority_key",
+                        lambda params: (lambda e, key=priority_key(params): key(e)[1:]))
+
+
+def provisioning_patched(monkeypatch, provision):
+    for module in (fws, greedy):
+        monkeypatch.setattr(module, "provision_choice", provision)
+
+
+def provision_on_the_farthest_node(monkeypatch):
+    """Provisioning takes the free-slot node farthest from the predecessors,
+    ties to the highest id."""
+    def farthest(memory_gb, cores, near_nodes, topology, catalog):
+        choice = provision_choice(memory_gb, cores, near_nodes, topology, catalog)
+        return choice and ("provision", max(topology.open_node_ids(), key=lambda n: (
+            sum(topology.path_delay_s(p, n) for p in near_nodes), n)), choice[2])
+
+    provisioning_patched(monkeypatch, farthest)
+
+
+def provision_the_costliest_type(monkeypatch):
+    """Provisioning takes the costliest catalog type covering the demand."""
+    def costliest(memory_gb, cores, near_nodes, topology, catalog):
+        choice = provision_choice(memory_gb, cores, near_nodes, topology, catalog)
+        return choice and choice[:2] + (max(
+            (t for t in catalog if t.memory_gb >= memory_gb and t.cores >= cores),
+            key=lambda t: (t.hourly_cost, t.name)),)
+
+    provisioning_patched(monkeypatch, costliest)
+
+
+# the mutants only validate_run can flag: Reference shares what they change
+VALIDATE_RUN_MUTANTS = (boot_not_charged, transfer_delays_halved, transfers_load_no_link)
 MUTANTS = (no_fresh_machine, stuck_demands_kept, no_wake_on_enqueue,
-           labels_prefer_longest_exec)
+           labels_prefer_longest_exec, *VALIDATE_RUN_MUTANTS,
+           first_finish_by_decreasing_time, drop_at(0.5), drop_at(1.5),
+           fws_ignores_affinity, fws_takes_first_fit, fws_queue_ignores_label,
+           provision_on_the_farthest_node, provision_the_costliest_type)
 
 
 def test_oracles_pass_every_run_of_the_engine():
@@ -105,3 +238,9 @@ def test_oracles_pass_every_run_of_the_engine():
 def test_oracles_catch_the_mutant(monkeypatch, mutant):
     mutant(monkeypatch)
     assert any(flagged(sc, inputs) for sc, inputs in small_runs())
+
+
+@pytest.mark.parametrize("mutant", VALIDATE_RUN_MUTANTS, ids=lambda mutant: mutant.__name__)
+def test_validate_run_itself_catches_the_mutant(monkeypatch, mutant):
+    mutant(monkeypatch)
+    assert any(flagged_by_validate_run(sc, inputs) for sc, inputs in small_runs())

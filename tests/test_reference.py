@@ -7,7 +7,8 @@ after each placement or drop, and runs the list-building selection oracles
 of `test_policies` over every machine: no engine labels, no failed-demand
 memo, no static queue keys, no kept machine order, no first-fit walk.  Every
 fast path of the engine must leave the schedule and the drop count as these
-rules make them.
+rules make them.  The engine runs as `test_pass_invariant.Checked`, so each
+run also checks the pass-end invariant, and then passes `validate_run`.
 """
 
 import math
@@ -23,6 +24,7 @@ from sfcsched.metrics import validate_run
 from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
 from test_acceptance import _reference_labels
 from test_engine import CATALOGS, random_chains
+from test_pass_invariant import Checked
 from test_policies import (LEAST_FULL, MOST_FULL, oracle_greedy_select_machine,
                            oracle_select_machine_fws)
 
@@ -123,8 +125,9 @@ def reference_runs(draw, max_micro_count=8, max_core_count=1, max_requests=40):
 
 def assert_matches_reference(sc, inputs):
     """The engine and `Reference` give one schedule for the scenario and
-    the SimulationRun keyword inputs, and the engine's passes `validate_run`."""
-    sim = SimulationRun(sc, **inputs)
+    the SimulationRun keyword inputs; the engine's run keeps the pass-end
+    invariant (`test_pass_invariant.Checked`) and passes `validate_run`."""
+    sim = Checked(sc, **inputs)
     engine_schedule = schedule(sim)
     validate_run(sim)
     assert engine_schedule == schedule(Reference(sc, **inputs))
