@@ -37,6 +37,7 @@ EVENT_TRANSFER = 1
 EVENT_FINISH = 2
 EVENT_START = 3
 EVENT_ARRIVAL = 4  # never in the heap: the next request in arrival order
+_RANK = attrgetter("rank")  # the key `ranked` is ordered by
 
 
 @dataclass(slots=True)
@@ -139,9 +140,9 @@ class SimulationRun:
         self._rank_key, self._priority_key = GREEDY_POLICIES.get(
             scenario.policy, (rank_key_fws, priority_key(scenario.weights)))
         # Selection sees only `ranked`: the active free-core machines in the policy's
-        # order (a core-full machine fits no demand; every service needs a core).
-        # Keys alongside, for bisection; `_rank_of`: id -> key or None.
-        self.ranked, self._ranked_keys, self._rank_of = [], [], {}
+        # order (a core-full machine fits no demand; every service needs a core),
+        # each filed under its `Machine.rank`.
+        self.ranked = []
         # the demands that found no machine in the last walked pass, and the
         # machines freed since that fit one, {machine_id: machine}; see _dispatch
         self._stuck, self._fresh = set(), {}
@@ -284,7 +285,7 @@ class SimulationRun:
                 memory_gb, cores = demand
                 machines = sorted(
                     (m for m in fresh.values() if m.fits(memory_gb, cores)),
-                    key=self._rank_key) or None
+                    key=_RANK) or None
             else:
                 machines = ranked
             if machines is not None:
@@ -346,22 +347,22 @@ class SimulationRun:
         return machine
 
     def _rerank(self, machine):
-        """Keep `ranked` in order: the active machines with a free core."""
+        """Keep `ranked` in order: the active machines with a free core, each
+        filed under its `rank`."""
         key = self._rank_key(machine) if machine.active_at_ms <= self.now \
             and machine.used_cores < machine.vm_type.cores else None
-        old = self._rank_of.get(machine.machine_id)
+        old = machine.rank
         if key == old:
             return
+        ranked = self.ranked
         if old is not None:
-            i = bisect.bisect_left(self._ranked_keys, old)
-            if i == len(self.ranked) or self.ranked[i] is not machine:
+            i = bisect.bisect_left(ranked, old, key=_RANK)
+            if i == len(ranked) or ranked[i] is not machine:
                 raise AssertionError(f"machine {machine.machine_id} not at its rank")
-            del self._ranked_keys[i], self.ranked[i]
+            del ranked[i]
+        machine.rank = key
         if key is not None:
-            i = bisect.bisect_left(self._ranked_keys, key)
-            self._ranked_keys.insert(i, key)
-            self.ranked.insert(i, machine)
-        self._rank_of[machine.machine_id] = key
+            bisect.insort_left(ranked, machine, key=_RANK)
 
     def _place(self, entry, choice, preds):
         """Dispatch `entry` by `choice`; `preds` is its `_pred_placements`."""

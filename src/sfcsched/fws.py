@@ -133,10 +133,7 @@ def select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
                               (machines, True)):
         best = best_cost = None
         for m in candidates:
-            vm = m.vm_type
-            # Machine.fits, inlined for this hot loop
-            if not (m.used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
-                    and m.used_cores + demand_cores <= vm.cores):
+            if not m.fits(demand_memory_gb, demand_cores):
                 continue
             cost = objective.get(m.node_id)
             if cost is None:

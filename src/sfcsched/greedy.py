@@ -58,9 +58,6 @@ def greedy_select_machine(demand_memory_gb, demand_cores, machines,
     no machine fits and every node is full or no catalog type covers it.
     """
     for m in machines:
-        vm = m.vm_type
-        # Machine.fits, inlined for this hot loop
-        if (m.used_memory_gb + demand_memory_gb <= vm.memory_gb + 1e-9
-                and m.used_cores + demand_cores <= vm.cores):
+        if m.fits(demand_memory_gb, demand_cores):
             return ("existing", m)
     return provision_choice(demand_memory_gb, demand_cores, (), topology, catalog)

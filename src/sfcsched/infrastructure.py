@@ -127,7 +127,9 @@ def _clamped_delay(lambda_pps, mu_pps, rho_max):
 class Machine:
     """A provisioned VM as capacity accounting.  A placed service holds its
     memory and cores from dispatch until it finishes; ``hosted`` is the set
-    of (instance_id, service_id) keys holding compute right now."""
+    of (instance_id, service_id) keys holding compute right now.  ``rank``
+    is the key its run's machine order files it under, None while it boots
+    or has no free core."""
 
     machine_id: int
     node_id: int
@@ -136,6 +138,7 @@ class Machine:
     used_memory_gb: float = 0.0
     used_cores: int = 0
     hosted: set = field(default_factory=set)
+    rank: object = field(default=None, compare=False, repr=False)
 
     def fits(self, memory_gb, cores):
         return (self.used_memory_gb + memory_gb <= self.vm_type.memory_gb + 1e-9

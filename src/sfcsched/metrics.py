@@ -125,11 +125,12 @@ def validate_run(sim) -> None:
 
     Checks request conservation and label validity, then replays the
     placements (`_replay`): dispatch order, each boot wait and transfer
-    delay, precedence, the start and finish times and machine capacity.
-    Then that every machine has its capacity back and every link its
-    transfer load (to 1e-9 pps) at quiescence, that `ranked` holds the
-    machines in the policy's machine order, node slot bounds, and that the
-    online traffic accumulator matches an independent recount.  Raises
+    delay, precedence, the start and finish times, machine capacity, and
+    each request's completion or drop.  Then that every machine has its
+    capacity back and every link its transfer load (to 1e-9 pps) at
+    quiescence, that `ranked` holds the machines in the policy's machine
+    order, each filed under its key, node slot bounds, and that the online
+    traffic accumulator matches an independent recount.  Raises
     AssertionError.
     """
     chain_of_instance = {rid: sim.chains[st.request.chain_id]
@@ -160,6 +161,9 @@ def validate_run(sim) -> None:
     # selection order: every machine, idle now, in the policy's machine order
     key, _ = GREEDY_POLICIES.get(sim.scenario.policy, (rank_key_fws, None))
     assert sim.ranked == sorted(sim.machines, key=key), "ranked machines out of order"
+    for m in sim.machines:
+        assert m.rank == key(m), \
+            f"machine {m.machine_id}: filed under rank {m.rank}, not {key(m)}"
 
     # node slot bounds
     per_node = {}
@@ -186,7 +190,10 @@ def _replay(sim, chain_of_instance):
     end before any pass at its time.  The walk recomputes the placement's
     boot wait and inbound transfer delays, adding each transfer's load in
     ascending predecessor id order, and checks precedence, the start and
-    finish times and the machine's capacity.
+    finish times and the machine's capacity.  It counts each request's
+    placed services and keeps its last finish: after the walk, a dropped
+    request has some service never placed and no completion time, and any
+    other has every service placed and completed at its last finish.
     """
     topo, scenario = sim.topology, sim.scenario
     latency = scenario.provision_latency_ms
@@ -194,6 +201,7 @@ def _replay(sim, chain_of_instance):
     ends = []       # heap of (end_ms, seq, ((load key, amount), ...))
     seq = itertools.count()
     placed = {}     # (instance_id, service_id) -> placement, once replayed
+    progress = {}   # instance_id -> (services placed, last finish_ms)
     last = -math.inf
 
     def hold(end_ms, amounts):
@@ -266,3 +274,19 @@ def _replay(sim, chain_of_instance):
             f"machine {mid}: memory overcommit"
         assert load[mid, "cores"] <= machine.vm_type.cores, f"machine {mid}: core overcommit"
         placed[key] = p
+        count, last_finish = progress.get(p.instance_id, (0, -math.inf))
+        progress[p.instance_id] = (count + 1, max(last_finish, p.finish_ms))
+
+    for rid, state in sim.states.items():
+        count, last_finish = progress.get(rid, (0, None))
+        services = len(chain_of_instance[rid].nodes)
+        if state.dropped:
+            assert state.completed_ms is None, \
+                f"request {rid}: dropped, yet completed at {state.completed_ms}"
+            assert count < services, f"request {rid}: dropped, yet every service placed"
+        else:
+            assert count == services, \
+                f"request {rid}: not dropped, yet {count} of {services} services placed"
+            assert state.completed_ms == last_finish, \
+                f"request {rid}: completed at {state.completed_ms}, not at its " \
+                f"last finish {last_finish}"

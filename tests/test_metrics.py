@@ -109,8 +109,11 @@ def test_replay_accepts_only_the_released_load_at_an_exact_transfer_end():
                                 {1: first_ms}),
                       Placement(1, 2, 2, start_ms, start_ms + 50.0, dispatch_ms, 0.0,
                                 delay_ms, {1: delay_ms})]
+        # each request completes when its service 2 finishes
+        states = {rid: SimpleNamespace(dropped=False, completed_ms=p.finish_ms)
+                  for rid, p in enumerate(placements[2:])}
         sim = SimpleNamespace(topology=topo, machines=machines, defs=defs,
-                              placements=placements,
+                              placements=placements, states=states,
                               scenario=SimpleNamespace(provision_latency_ms=50.0,
                                                        resume_latency_ms=0.0))
         _replay(sim, {0: chain, 1: chain})
@@ -126,8 +129,9 @@ def test_replay_accepts_only_the_released_load_at_an_exact_transfer_end():
 
 def finished_run():
     """A small fws run with boot waits, cross-node transfers, successors on
-    their predecessor's machine, and machines whose memory and whose cores
-    two placements share at once (the seed is one that has them all)."""
+    their predecessor's machine, machines whose memory and whose cores two
+    placements share at once, and completed and dropped requests (the seed
+    is one that has them all)."""
     sim = SimulationRun(Scenario(
         policy="fws", request_count=20, arrival_rate_rps=1000.0, rng_seed=11,
         provision_latency_ms=50.0, service_cores_choices=(1, 1, 2),
@@ -203,6 +207,28 @@ def add(obj, name, amount):
     setattr(obj, name, getattr(obj, name) + amount)
 
 
+def request_state(sim, dropped):
+    return first(sim.states.values(), lambda state: state.dropped == dropped)
+
+
+def mark_dropped(sim):
+    """Mark a completed request dropped, counters conserved."""
+    state = request_state(sim, dropped=False)
+    state.dropped, state.completed_ms = True, None
+    add(sim, "completed", -1)
+    add(sim, "dropped", 1)
+
+
+def mark_completed(sim):
+    """Mark a dropped request completed at its last finish, counters conserved."""
+    state = request_state(sim, dropped=True)
+    state.dropped = False
+    state.completed_ms = max(p.finish_ms for p in sim.placements
+                             if p.instance_id == state.request.request_id)
+    add(sim, "completed", 1)
+    add(sim, "dropped", -1)
+
+
 def swap_edge_labels(sim):
     labels = sim.labels[1]
     labels[1], labels[2] = labels[2], labels[1]
@@ -239,6 +265,15 @@ CORRUPTIONS = {
                           r"machine \d+: memory overcommit"),
     "core overcommit": (lambda sim: shrink_machine(sim, "cores"),
                         r"machine \d+: core overcommit"),
+    "dropped, yet completed": (lambda sim: setattr(request_state(sim, dropped=True),
+                                                   "completed_ms", 1.0),
+                               r"request \d+: dropped, yet completed at 1.0"),
+    "dropped, yet whole": (mark_dropped, r"request \d+: dropped, yet every service placed"),
+    "completed, yet partial": (mark_completed,
+                               r"request \d+: not dropped, yet \d+ of \d+ services placed"),
+    "completion time": (lambda sim: add(request_state(sim, dropped=False),
+                                        "completed_ms", 1.0),
+                        r"request \d+: completed at .*, not at its last finish"),
     "still hosts": (lambda sim: sim.machines[0].hosted.add((0, 1)),
                     r"machine 0: still hosts \[\(0, 1\)\]"),
     "cores released": (lambda sim: add(sim.machines[0], "used_cores", 1),
@@ -249,6 +284,8 @@ CORRUPTIONS = {
                                            "transfer_pps", 1.0),
                            "transfer load not released"),
     "ranked order": (lambda sim: sim.ranked.reverse(), "ranked machines out of order"),
+    "machine rank": (lambda sim: setattr(sim.machines[0], "rank", None),
+                     "machine 0: filed under rank None, not 0"),
     "slot bounds": (lambda sim: setattr(sim.topology.nodes[sim.machines[0].node_id],
                                         "vm_slots", 0), "slots exceeded"),
     "traffic recount": (lambda sim: add(sim, "traffic_kb", 1.0),
@@ -260,6 +297,7 @@ def test_the_run_to_corrupt_passes_and_has_each_feature_a_corruption_needs():
     sim = finished_run()
     validate_run(sim)
     assert provisioned(sim) and colocated_successor(sim)
+    assert request_state(sim, dropped=True) and request_state(sim, dropped=False)
     node = {(p.instance_id, p.service_id): sim.machines[p.machine_id].node_id
             for p in sim.placements}
     assert any(node[p.instance_id, pred] != node[p.instance_id, p.service_id]

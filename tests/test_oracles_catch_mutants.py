@@ -71,6 +71,21 @@ def no_fresh_machine(monkeypatch):
     monkeypatch.setattr(SimulationRun, "_freed", SimulationRun._rerank)
 
 
+def rank_kept_on_key_change(monkeypatch):
+    """A machine that stays in the machine order while its key changes keeps
+    its old place and its old `rank`.  Under fws the key is the machine id,
+    which never changes, so only the greedy baselines differ."""
+    rerank = SimulationRun._rerank
+
+    def lazy(self, machine):
+        if machine.rank is not None and machine.active_at_ms <= self.now \
+                and machine.used_cores < machine.vm_type.cores:
+            return
+        rerank(self, machine)
+
+    monkeypatch.setattr(SimulationRun, "_rerank", lazy)
+
+
 def stuck_demands_kept(monkeypatch):
     """A walked pass ends with the earlier stuck demands still stuck."""
     dispatch = SimulationRun._dispatch
@@ -238,6 +253,13 @@ def test_oracles_pass_every_run_of_the_engine():
 def test_oracles_catch_the_mutant(monkeypatch, mutant):
     mutant(monkeypatch)
     assert any(flagged(sc, inputs) for sc, inputs in small_runs())
+
+
+def test_oracles_flag_a_stale_machine_order_on_every_greedy_run(monkeypatch):
+    rank_kept_on_key_change(monkeypatch)
+    greedy_runs = [(sc, inputs) for sc, inputs in small_runs()
+                   if sc.policy in GREEDY_POLICIES]
+    assert greedy_runs and all(flagged(sc, inputs) for sc, inputs in greedy_runs)
 
 
 @pytest.mark.parametrize("mutant", VALIDATE_RUN_MUTANTS, ids=lambda mutant: mutant.__name__)

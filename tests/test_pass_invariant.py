@@ -6,12 +6,18 @@ and either no node has a free VM slot or no catalog type covers the demand.
 The check reads machines, nodes and the catalog directly, not the engine's
 `ranked` order or kept node list.  The memo must then hold that claim's
 record: every waiting entry's demand is stuck, and no machine is fresh.
+The machine order must be whole and current as well: `ranked` holds the
+active machines with a free core in the order of the policy's key, computed
+afresh, and each machine's `rank` is that key, or None when it can take no
+work.
 
 Besides the overload cells below, every engine run that `test_reference`
 compares with its reference dispatcher runs under this check.
 """
 
 from sfcsched.engine import SimulationRun
+from sfcsched.fws import rank_key_fws
+from sfcsched.greedy import GREEDY_POLICIES
 from sfcsched.scenario import Scenario
 
 
@@ -29,13 +35,22 @@ class Checked(SimulationRun):
         if self.ready is before:  # the pass returned without walking
             return
         assert self._fresh == {}, f"at {self.now} ms, machines stay fresh"
+        now = self.now
+        key, _ = GREEDY_POLICIES.get(self.scenario.policy, (rank_key_fws, None))
+        free_core = []
+        for m in self.machines:
+            want = None
+            if m.active_at_ms <= now and m.used_cores < m.vm_type.cores:
+                free_core.append(m)
+                want = key(m)
+            assert m.rank == want, \
+                f"at {now} ms, machine {m.machine_id} is filed under {m.rank}, not {want}"
+        assert self.ranked == sorted(free_core, key=key), \
+            f"at {now} ms, ranked is not the free-core machines in policy order"
         waiting = [e for e in self.ready if not e.state.dropped]
         if not waiting:
             return
         self.contended.append(len(waiting))
-        now = self.now
-        free_core = [m for m in self.machines
-                     if m.active_at_ms <= now and m.used_cores < m.vm_type.cores]
         slot_free = any(n.used_slots < n.vm_slots
                         for n in self.topology.nodes.values())
         for entry in waiting:

@@ -277,6 +277,34 @@ def test_uncovered_demand_gets_no_machine():
                                      default_catalog()) is None
 
 
+def test_selection_rules_test_capacity_only_by_machine_fits(monkeypatch):
+    # once `Machine.fits` refuses machine 0, both rules pass it over, fws
+    # also when it is the predecessor's machine
+    fits = Machine.fits
+    monkeypatch.setattr(Machine, "fits", lambda m, memory_gb, cores:
+                        m.machine_id != 0 and fits(m, memory_gb, cores))
+    topo = two_node_topology()
+    m0, m1 = Machine(0, 0, SMALL), Machine(1, 0, SMALL)
+    for kind, chosen in (
+            select_machine_fws(1.0, 1, [(3, m0, 10.0)], [m0, m1], topo,
+                               default_catalog()),
+            greedy_select_machine(1.0, 1, [m0, m1], topo, default_catalog())):
+        assert kind == "existing" and chosen is m1
+
+
+@pytest.mark.parametrize("short_gb, taken", [(5e-10, True), (1e-6, False)])
+def test_selection_rules_allow_the_fit_rule_memory_slack_and_no_more(short_gb, taken):
+    # an empty 2 GB machine short of the demand by `short_gb`
+    topo = two_node_topology()
+    machine = Machine(0, 0, SMALL)
+    demand_gb = SMALL.memory_gb + short_gb
+    for result in (select_machine_fws(demand_gb, 1, [], [machine], topo,
+                                      default_catalog()),
+                   greedy_select_machine(demand_gb, 1, [machine], topo,
+                                         default_catalog())):
+        assert (result == ("existing", machine)) is taken
+
+
 def test_policy_registry_has_exactly_four():
     assert sorted(GREEDY_POLICIES) == ["lfdt", "lfff", "mfdt", "mfff"]
 
