@@ -14,8 +14,8 @@ from .greedy import GREEDY_POLICIES, greedy_select_machine
 from .infrastructure import (CloudNode, Link, Machine, Topology, TopologySpec,
                              VmType, default_catalog, default_topology,
                              link_delay, nearest_vm_type, provision_machine)
-from .metrics import (MetricsReport, RequestRecord, accumulate_traffic,
-                      check_sla, total_cost, validate_run)
+from .metrics import (MetricsReport, RequestRecord, check_sla, total_cost,
+                      validate_run)
 from .reporting import (ResultRow, SweepSpec, emit_results, load_results,
                         parse_scenario, parse_sweep, render_results, run_sweep)
 from .scenario import POLICY_NAMES, Scenario, generate_workload, sample_service_defs

@@ -242,7 +242,7 @@ class Topology:
         return self._wait_s(self._path(src, dst))
 
     def _wait_s(self, path):
-        total = 0  # sum()'s start and order, so the bits are unchanged
+        total = 0  # left to right, so the bits are the same on every Python
         for link in path:
             total += link.delay_s(self.rho_max)
         return total
@@ -316,8 +316,14 @@ def provision_choice(demand_memory_gb, demand_cores, near_nodes, topology, catal
     vm_type = nearest_vm_type(demand_memory_gb, demand_cores, catalog)
     if vm_type is None:
         return None
-    return ("provision", min(open_ids, key=lambda n: (
-        sum(topology.path_delay_s(p, n) for p in near_nodes), n)), vm_type)
+
+    def summed_delay(n):
+        total = 0  # left to right, so the bits are the same on every Python
+        for p in near_nodes:
+            total += topology.path_delay_s(p, n)
+        return total, n
+
+    return ("provision", min(open_ids, key=summed_delay), vm_type)
 
 
 def provision_machine(node: CloudNode, vm_type: VmType, machine_id,

@@ -50,30 +50,13 @@ def check_sla(request, turnaround_ms, attributed_cost, dropped=False) -> bool:
             and attributed_cost <= request.cost_sla)
 
 
-def accumulate_traffic(placements, chain_of_instance, defs) -> float:
-    """Brute-force recount of crossing-edge traffic from the final schedule.
-
-    Sums data_out of every precedence edge whose endpoints landed on
-    different machines; co-located edges contribute nothing.
-    """
-    by_key = {(p.instance_id, p.service_id): p for p in placements}
-    total = 0.0
-    seen_instances = sorted({p.instance_id for p in placements})
-    for iid in seen_instances:
-        chain = chain_of_instance[iid]
-        for i, j in sorted(chain.edges):
-            pi, pj = by_key.get((iid, i)), by_key.get((iid, j))
-            if pi is None or pj is None:
-                continue
-            if pi.machine_id != pj.machine_id:
-                total += defs[i].data_out_kb
-    return total
-
-
 def total_cost(machines) -> float:
     """Hourly cost of every machine provisioned during the run; a float
     even when there is none."""
-    return sum((m.vm_type.hourly_cost for m in machines), 0.0)
+    total = 0.0  # left to right, as every total: 3.12's sum() rounds otherwise
+    for m in machines:
+        total += m.vm_type.hourly_cost
+    return total
 
 
 def _attributed_costs(sim):
@@ -103,19 +86,22 @@ def report(sim) -> MetricsReport:
         raise AssertionError("requests lost: conservation violated")
     costs = _attributed_costs(sim)
     records = []
+    turnaround_total = finished = satisfied = 0  # added as in `total_cost`
     for rid in sorted(sim.states):
         state = sim.states[rid]
         req = state.request
         turnaround = None if state.completed_ms is None \
             else state.completed_ms - req.arrival_time_ms
+        if turnaround is not None:
+            turnaround_total += turnaround
+            finished += 1
         cost = costs.get(rid, 0.0)
-        records.append(RequestRecord(
-            rid, req.chain_id, req.arrival_time_ms, turnaround, cost,
-            check_sla(req, turnaround, cost, dropped=state.dropped), state.dropped))
-    finished = [r.turnaround_ms for r in records if r.turnaround_ms is not None]
-    avg_turnaround = sum(finished) / len(finished) if finished else 0.0
-    satisfied_pct = (100.0 * sum(1 for r in records if r.satisfied) /
-                     len(records)) if records else 100.0
+        sla = check_sla(req, turnaround, cost, dropped=state.dropped)
+        satisfied += sla
+        records.append(RequestRecord(rid, req.chain_id, req.arrival_time_ms,
+                                     turnaround, cost, sla, state.dropped))
+    avg_turnaround = turnaround_total / finished if finished else 0.0
+    satisfied_pct = 100.0 * satisfied / len(records) if records else 100.0
     return MetricsReport(sim.scenario.policy, sim.traffic_kb, avg_turnaround,
                          satisfied_pct, total_cost(sim.machines), records)
 
@@ -126,12 +112,12 @@ def validate_run(sim) -> None:
     Checks request conservation and label validity, then replays the
     placements (`_replay`): dispatch order, each boot wait and transfer
     delay, precedence, the start and finish times, machine capacity, and
-    each request's completion or drop.  Then that every machine has its
-    capacity back and every link its transfer load (to 1e-9 pps) at
-    quiescence, that `ranked` holds the machines in the policy's machine
-    order, each filed under its key, node slot bounds, and that the online
-    traffic accumulator matches an independent recount.  Raises
-    AssertionError.
+    each request's completion or drop, and recounts the traffic of every
+    crossing edge, which must match the online accumulator.  Then that
+    every machine has its capacity back and every link its transfer load
+    (to 1e-9 pps) at quiescence, that `ranked` holds the machines in the
+    policy's machine order, each filed under its key, and node slot bounds.
+    Raises AssertionError.
     """
     chain_of_instance = {rid: sim.chains[st.request.chain_id]
                          for rid, st in sim.states.items()}
@@ -148,34 +134,28 @@ def validate_run(sim) -> None:
             assert labels[i] > labels[j], \
                 f"chain {cid}: label({i}) <= label({j}) on edge"
 
-    _replay(sim, chain_of_instance)
+    recount = _replay(sim, chain_of_instance)
+    assert math.isclose(recount, sim.traffic_kb, rel_tol=1e-9, abs_tol=1e-6), \
+        f"traffic recount {recount} != online accumulator {sim.traffic_kb}"
 
-    # capacity and link load returned: every service and transfer finished
+    # quiescence: every service and transfer finished, so each machine has
+    # its capacity back and each link its transfer load; each machine is
+    # filed under its key, in the policy's machine order; node slot bounds
+    key, _ = GREEDY_POLICIES.get(sim.scenario.policy, (rank_key_fws, None))
+    per_node = {}
     for m in sim.machines:
         assert not m.hosted, f"machine {m.machine_id}: still hosts {sorted(m.hosted)}"
         assert m.used_cores == 0, f"machine {m.machine_id}: cores not released"
         assert m.used_memory_gb <= 1e-9, f"machine {m.machine_id}: memory not released"
-    for key, link in sim.topology.links.items():
-        assert abs(link.transfer_pps) <= 1e-9, f"link {key}: transfer load not released"
-
-    # selection order: every machine, idle now, in the policy's machine order
-    key, _ = GREEDY_POLICIES.get(sim.scenario.policy, (rank_key_fws, None))
-    assert sim.ranked == sorted(sim.machines, key=key), "ranked machines out of order"
-    for m in sim.machines:
         assert m.rank == key(m), \
             f"machine {m.machine_id}: filed under rank {m.rank}, not {key(m)}"
-
-    # node slot bounds
-    per_node = {}
-    for m in sim.machines:
         per_node[m.node_id] = per_node.get(m.node_id, 0) + 1
+    for link_key, link in sim.topology.links.items():
+        assert abs(link.transfer_pps) <= 1e-9, \
+            f"link {link_key}: transfer load not released"
+    assert sim.ranked == sorted(sim.machines, key=key), "ranked machines out of order"
     for nid, count in per_node.items():
         assert count <= sim.topology.nodes[nid].vm_slots, f"node {nid}: slots exceeded"
-
-    # traffic recount
-    recount = accumulate_traffic(sim.placements, chain_of_instance, sim.defs)
-    assert math.isclose(recount, sim.traffic_kb, rel_tol=1e-9, abs_tol=1e-6), \
-        f"traffic recount {recount} != online accumulator {sim.traffic_kb}"
 
 
 def _replay(sim, chain_of_instance):
@@ -194,6 +174,8 @@ def _replay(sim, chain_of_instance):
     placed services and keeps its last finish: after the walk, a dropped
     request has some service never placed and no completion time, and any
     other has every service placed and completed at its last finish.
+    Returns the traffic it recounts: each predecessor's output, added when
+    its successor is walked on another machine.
     """
     topo, scenario = sim.topology, sim.scenario
     latency = scenario.provision_latency_ms
@@ -203,6 +185,7 @@ def _replay(sim, chain_of_instance):
     placed = {}     # (instance_id, service_id) -> placement, once replayed
     progress = {}   # instance_id -> (services placed, last finish_ms)
     last = -math.inf
+    traffic_kb = 0.0  # crossing-edge output, in walk order
 
     def hold(end_ms, amounts):
         for k, amount in amounts:
@@ -237,10 +220,12 @@ def _replay(sim, chain_of_instance):
             src = sim.machines[pp.machine_id]
             if src is not machine:
                 crossing.append(pred)
+                data_kb = sim.defs[pred].data_out_kb
+                traffic_kb += data_kb
                 got = p.transfers_in.get(pred)
                 bw = min(src.vm_type.max_bandwidth_mbps,
                          machine.vm_type.max_bandwidth_mbps)
-                want = sim.defs[pred].data_out_kb / bw
+                want = data_kb / bw
                 route = ()
                 if src.node_id != machine.node_id:
                     route = topo.route(src.node_id, machine.node_id)
@@ -290,3 +275,4 @@ def _replay(sim, chain_of_instance):
             assert state.completed_ms == last_finish, \
                 f"request {rid}: completed at {state.completed_ms}, not at its " \
                 f"last finish {last_finish}"
+    return traffic_kb

@@ -194,12 +194,17 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, var="demand") -> list:
 
 def report_rows(reports, sweep_var, sweep_value) -> list:
     """One row per metric: its mean over the MetricsReports of one sweep
-    point's repetitions, all of one policy; one run is the one-report case."""
-    return [ResultRow(policy=reports[0].policy, sweep_var=sweep_var,
-                      sweep_value=sweep_value, metric=m,
-                      mean=sum(r.metric(m) for r in reports) / len(reports),
-                      reps=len(reports))
-            for m in METRIC_NAMES]
+    point's repetitions, all of one policy; one run is the one-report case.
+    Each total is added left to right, so the bits are the same on every Python."""
+    rows = []
+    for m in METRIC_NAMES:
+        total = 0
+        for r in reports:
+            total += r.metric(m)
+        rows.append(ResultRow(policy=reports[0].policy, sweep_var=sweep_var,
+                              sweep_value=sweep_value, metric=m,
+                              mean=total / len(reports), reps=len(reports)))
+    return rows
 
 
 def render_results(rows, fmt="csv") -> str:

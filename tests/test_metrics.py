@@ -8,15 +8,8 @@ import pytest
 from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest
 from sfcsched.engine import Placement, SimulationRun, run
 from sfcsched.infrastructure import Machine, default_catalog, default_topology
-from sfcsched.metrics import (_replay, accumulate_traffic, check_sla, total_cost,
-                              validate_run)
+from sfcsched.metrics import _replay, check_sla, total_cost, validate_run
 from sfcsched.scenario import Scenario, TopologySpec
-
-
-def place(iid, sid, mid):
-    return Placement(instance_id=iid, service_id=sid, machine_id=mid,
-                     start_ms=0.0, finish_ms=1.0, dispatch_ms=0.0,
-                     boot_wait_ms=0.0, transfer_ms=0.0)
 
 
 def mkdefs(data):
@@ -32,17 +25,46 @@ def test_check_sla_examples():
     assert not check_sla(req, 200.0, 2.0)  # cost bound violated
 
 
+def replay(machines, defs, placements, states, chains):
+    """`_replay` of a hand-made schedule on the default topology, with a
+    provisioning latency of 50 ms and no resume latency; its traffic total."""
+    sim = SimpleNamespace(topology=default_topology(), machines=machines, defs=defs,
+                          placements=placements, states=states,
+                          scenario=SimpleNamespace(provision_latency_ms=50.0,
+                                                   resume_latency_ms=0.0))
+    return _replay(sim, chains)
+
+
+def replayed_traffic(chain, data, machine_of):
+    """`_replay`'s traffic total for one request of `chain` whose services
+    run one after another in ascending id order, each service on machine
+    `machine_of[service]` of node 0.  A service missing from `machine_of`
+    is never placed, and the request is then dropped."""
+    vm = default_catalog()[0]
+    machines = [Machine(mid, 0, vm) for mid in range(max(machine_of.values()) + 1)]
+    placements, t = [], 0.0
+    for sid in sorted(machine_of):
+        mid = machine_of[sid]
+        transfers_in = {pred: data[pred] / vm.max_bandwidth_mbps
+                        for pred in chain.predecessors(sid) if machine_of[pred] != mid}
+        transfer_ms = max(transfers_in.values(), default=0.0)
+        start = t + transfer_ms
+        placements.append(Placement(0, sid, mid, start, start + 50.0, t, 0.0,
+                                    transfer_ms, transfers_in))
+        t = start + 50.0
+    dropped = len(machine_of) < len(chain.nodes)
+    state = SimpleNamespace(dropped=dropped, completed_ms=None if dropped else t)
+    return replay(machines, mkdefs(data), placements, {0: state}, {0: chain})
+
+
 def test_traffic_zero_when_colocated():
     chain = ServiceChain(1, {1, 2, 3}, {(1, 2), (2, 3)})
-    placements = [place(0, 1, 0), place(0, 2, 0), place(0, 3, 0)]
-    assert accumulate_traffic(placements, {0: chain}, mkdefs({1: 10, 2: 10, 3: 10})) == 0.0
+    assert replayed_traffic(chain, {1: 10, 2: 10, 3: 10}, {1: 0, 2: 0, 3: 0}) == 0.0
 
 
 def test_traffic_single_crossing_edge():
     chain = ServiceChain(1, {1, 2}, {(1, 2)})
-    placements = [place(0, 1, 0), place(0, 2, 1)]
-    assert accumulate_traffic(placements, {0: chain},
-                              mkdefs({1: 12.0, 2: 9.0})) == 12.0
+    assert replayed_traffic(chain, {1: 12.0, 2: 9.0}, {1: 0, 2: 1}) == 12.0
 
 
 def test_traffic_sfc2_split():
@@ -50,16 +72,15 @@ def test_traffic_sfc2_split():
                          {(6, 7), (6, 8), (7, 9), (8, 9), (9, 10)})
     # 6 alone on machine 0; 7,8,9 on machine 1; 10 on machine 2:
     # crossing edges are (6,7), (6,8) and (9,10)
-    placements = [place(0, 6, 0), place(0, 7, 1), place(0, 8, 1),
-                  place(0, 9, 1), place(0, 10, 2)]
-    defs = mkdefs({6: 10.0, 7: 5.0, 8: 5.0, 9: 8.0, 10: 5.0})
-    assert accumulate_traffic(placements, {0: chain}, defs) == 10.0 + 10.0 + 8.0
+    data = {6: 10.0, 7: 5.0, 8: 5.0, 9: 8.0, 10: 5.0}
+    machine_of = {6: 0, 7: 1, 8: 1, 9: 1, 10: 2}
+    assert replayed_traffic(chain, data, machine_of) == 10.0 + 10.0 + 8.0
 
 
 def test_traffic_skips_unplaced_services():
     chain = ServiceChain(1, {1, 2}, {(1, 2)})
-    placements = [place(0, 1, 0)]  # request dropped before service 2 ran
-    assert accumulate_traffic(placements, {0: chain}, mkdefs({1: 12.0, 2: 9.0})) == 0.0
+    # dropped before service 2 ran, which would have run on another machine
+    assert replayed_traffic(chain, {1: 12.0, 2: 9.0}, {1: 0}) == 0.0
 
 
 def catalog_machine(name, mid=0):
@@ -101,7 +122,7 @@ def test_replay_accepts_only_the_released_load_at_an_exact_transfer_end():
     assert loaded_ms > idle_ms
     tie = 60.0 + first_ms  # request 0's transfer starts at 60 ms
 
-    def replay(dispatch_ms, delay_ms):
+    def replay_at(dispatch_ms, delay_ms):
         start_ms = dispatch_ms + delay_ms
         placements = [Placement(0, 1, 0, 0.0, 50.0, 0.0, 0.0, 0.0),
                       Placement(1, 1, 0, 0.0, 50.0, 0.0, 0.0, 0.0),
@@ -112,19 +133,15 @@ def test_replay_accepts_only_the_released_load_at_an_exact_transfer_end():
         # each request completes when its service 2 finishes
         states = {rid: SimpleNamespace(dropped=False, completed_ms=p.finish_ms)
                   for rid, p in enumerate(placements[2:])}
-        sim = SimpleNamespace(topology=topo, machines=machines, defs=defs,
-                              placements=placements, states=states,
-                              scenario=SimpleNamespace(provision_latency_ms=50.0,
-                                                       resume_latency_ms=0.0))
-        _replay(sim, {0: chain, 1: chain})
+        return replay(machines, defs, placements, states, {0: chain, 1: chain})
 
-    replay(tie, idle_ms)
+    assert replay_at(tie, idle_ms) == 200.0  # both transfers cross nodes
     with pytest.raises(AssertionError, match="replay gives"):
-        replay(tie, loaded_ms)
+        replay_at(tie, loaded_ms)
     earlier = math.nextafter(tie, -math.inf)
-    replay(earlier, loaded_ms)
+    replay_at(earlier, loaded_ms)
     with pytest.raises(AssertionError, match="replay gives"):
-        replay(earlier, idle_ms)
+        replay_at(earlier, idle_ms)
 
 
 def finished_run():

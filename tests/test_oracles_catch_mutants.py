@@ -164,6 +164,21 @@ def transfers_load_no_link(monkeypatch):
     monkeypatch.setattr(Topology, "start_transfer", unloaded)
 
 
+def traffic_counts_colocated_edges(monkeypatch):
+    """The online traffic counter also adds the output of each predecessor
+    on the successor's own machine."""
+    place = SimulationRun._place
+
+    def counting(self, entry, choice, preds):
+        place(self, entry, choice, preds)
+        machine = entry.state.placed[entry.service_id]
+        for _, pred_machine, data_out_kb in preds:
+            if pred_machine is machine:
+                self.traffic_kb += data_out_kb
+
+    monkeypatch.setattr(SimulationRun, "_place", counting)
+
+
 def first_finish_by_decreasing_time(monkeypatch):
     """`lfff` and `mfff` order their queues longest execution first."""
     for name in ("lfff", "mfff"):
@@ -237,7 +252,8 @@ def provision_the_costliest_type(monkeypatch):
 
 
 # the mutants only validate_run can flag: Reference shares what they change
-VALIDATE_RUN_MUTANTS = (boot_not_charged, transfer_delays_halved, transfers_load_no_link)
+VALIDATE_RUN_MUTANTS = (boot_not_charged, transfer_delays_halved, transfers_load_no_link,
+                        traffic_counts_colocated_edges)
 MUTANTS = (no_fresh_machine, stuck_demands_kept, no_wake_on_enqueue,
            labels_prefer_longest_exec, *VALIDATE_RUN_MUTANTS,
            first_finish_by_decreasing_time, drop_at(0.5), drop_at(1.5),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcsched import reporting
+from sfcsched import infrastructure, metrics, reporting
 from sfcsched.cli import main as cli_main
 from sfcsched.engine import run
 from sfcsched.errors import ParseError, ValidationError, section_keys
@@ -134,10 +134,28 @@ def test_sweep_means_equal_individual_runs(var):
                                       arrival_window_s=sweep.demand_window_s, **point))
                 for k in range(3)]
     for metric in METRIC_NAMES:
-        expected = sum(r.metric(metric) for r in per_seed) / 3
+        total = 0  # left to right, as `report_rows` adds
+        for r in per_seed:
+            total += r.metric(metric)
         row = next(r for r in rows if r.metric == metric)
-        assert row.mean == expected
+        assert row.mean == total / 3
         assert row.reps == 3 and row.sweep_var == var
+
+
+def test_totals_are_added_left_to_right_not_by_sum(monkeypatch):
+    # sum() rounds floats differently since Python 3.12; the run's metrics,
+    # the sweep means and the provisioning node choice must not change with it
+    def raiser(*args):
+        raise AssertionError("sum() called")
+
+    for module in (metrics, reporting, infrastructure):
+        monkeypatch.setattr(module, "sum", raiser, raising=False)
+    reports = [run(Scenario(request_count=5, rng_seed=seed)) for seed in (1, 2, 3)]
+    assert len(report_rows(reports, "demand", 5)) == len(METRIC_NAMES)
+    topology = infrastructure.default_topology()
+    choice = infrastructure.provision_choice(1.0, 1, [0, 5], topology,
+                                             infrastructure.default_catalog())
+    assert choice[0] == "provision"
 
 
 def test_unknown_sweep_variable_fails_before_any_cell(monkeypatch):
