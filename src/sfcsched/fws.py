@@ -128,17 +128,13 @@ def select_machine_fws(demand_memory_gb, demand_cores, pred_placements,
     too.  Returns ("existing", machine), ("provision", node_id, vm_type), or
     None if every node is full or no type covers it.
     """
-    objective = {}  # node_id -> _traffic_objective, filled on first use
     for candidates, by_id in (([pm for _, pm, _ in pred_placements], False),
                               (machines, True)):
         best = best_cost = None
         for m in candidates:
             if not m.fits(demand_memory_gb, demand_cores):
                 continue
-            cost = objective.get(m.node_id)
-            if cost is None:
-                cost = objective[m.node_id] = _traffic_objective(
-                    m.node_id, pred_placements, topology)
+            cost = _traffic_objective(m.node_id, pred_placements, topology)
             if cost == 0.0 and by_id:
                 return ("existing", m)
             if (best is None or cost < best_cost

@@ -117,6 +117,7 @@ def validate_run(sim) -> None:
     every machine has its capacity back and every link its transfer load
     (to 1e-9 pps) at quiescence, that `ranked` holds the machines in the
     policy's machine order, each filed under its key, and node slot bounds.
+    Last, `_check_records` recounts each request's record of `report`.
     Raises AssertionError.
     """
     chain_of_instance = {rid: sim.chains[st.request.chain_id]
@@ -134,7 +135,7 @@ def validate_run(sim) -> None:
             assert labels[i] > labels[j], \
                 f"chain {cid}: label({i}) <= label({j}) on edge"
 
-    recount = _replay(sim, chain_of_instance)
+    recount, progress = _replay(sim, chain_of_instance)
     assert math.isclose(recount, sim.traffic_kb, rel_tol=1e-9, abs_tol=1e-6), \
         f"traffic recount {recount} != online accumulator {sim.traffic_kb}"
 
@@ -156,6 +157,43 @@ def validate_run(sim) -> None:
     assert sim.ranked == sorted(sim.machines, key=key), "ranked machines out of order"
     for nid, count in per_node.items():
         assert count <= sim.topology.nodes[nid].vm_slots, f"node {nid}: slots exceeded"
+    _check_records(sim, progress)
+
+
+def _check_records(sim, progress):
+    """Recount each request's `report` record from the placements and the
+    machines: its turnaround from its last finish (`progress`, from
+    `_replay`), its attributed cost as the sum of its placements' shares of
+    their machines' held time, and both SLA tests, written out here rather
+    than by `check_sla`."""
+    held = {}  # machine id -> the time every placement on it held it
+    for p in sim.placements:
+        held[p.machine_id] = held.get(p.machine_id, 0.0) + (p.finish_ms - p.dispatch_ms)
+    costs = {}
+    for p in sim.placements:
+        if held[p.machine_id]:
+            costs[p.instance_id] = costs.get(p.instance_id, 0.0) + \
+                (p.finish_ms - p.dispatch_ms) / held[p.machine_id] \
+                * sim.machines[p.machine_id].vm_type.hourly_cost
+    for rec in report(sim).per_request:
+        rid, state = rec.request_id, sim.states[rec.request_id]
+        req = state.request
+        turnaround = None if state.dropped else progress[rid][1] - req.arrival_time_ms
+        assert rec.turnaround_ms == turnaround, \
+            f"request {rid}: turnaround {rec.turnaround_ms} != recounted {turnaround}"
+        cost = costs.get(rid, 0.0)
+        assert math.isclose(rec.attributed_cost, cost, rel_tol=1e-9, abs_tol=1e-12), \
+            f"request {rid}: attributed cost {rec.attributed_cost} != recounted {cost}"
+        in_delay = turnaround is not None and turnaround <= req.delay_sla_ms
+        in_cost = rec.attributed_cost <= req.cost_sla
+        assert in_delay or not rec.satisfied, \
+            f"request {rid}: satisfied, yet turnaround {turnaround} misses its " \
+            f"delay SLA {req.delay_sla_ms}"
+        assert in_cost or not rec.satisfied, \
+            f"request {rid}: satisfied, yet cost {rec.attributed_cost} exceeds its " \
+            f"cost SLA {req.cost_sla}"
+        assert rec.satisfied or not (in_delay and in_cost), \
+            f"request {rid}: unsatisfied, yet within its delay and cost SLAs"
 
 
 def _replay(sim, chain_of_instance):
@@ -174,8 +212,9 @@ def _replay(sim, chain_of_instance):
     placed services and keeps its last finish: after the walk, a dropped
     request has some service never placed and no completion time, and any
     other has every service placed and completed at its last finish.
-    Returns the traffic it recounts: each predecessor's output, added when
-    its successor is walked on another machine.
+    Returns the traffic it recounts, each predecessor's output added when
+    its successor is walked on another machine, and each request's
+    services placed and last finish, {instance_id: (count, ms)}.
     """
     topo, scenario = sim.topology, sim.scenario
     latency = scenario.provision_latency_ms
@@ -275,4 +314,4 @@ def _replay(sim, chain_of_instance):
             assert state.completed_ms == last_finish, \
                 f"request {rid}: completed at {state.completed_ms}, not at its " \
                 f"last finish {last_finish}"
-    return traffic_kb
+    return traffic_kb, progress

@@ -111,6 +111,16 @@ def test_transitive_dependents_examples():
     assert canonical_sfcs()[1].transitive_dependents(6) == 4
 
 
+def test_immediate_dependents_count_successors_only():
+    # service 1 feeds service 2 alone, and 2, 3, 4 and 5 all wait on it
+    assert sfc1().immediate_dependents(1) == 1
+    assert sfc1().transitive_dependents(1) == 4
+    assert sfc1().immediate_dependents(3) == 2
+    assert sfc1().immediate_dependents(5) == 0
+    with pytest.raises(UnknownService):
+        sfc1().immediate_dependents(99)
+
+
 def test_transitive_dependents_unknown_service():
     with pytest.raises(UnknownService):
         sfc1().transitive_dependents(99)

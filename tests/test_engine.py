@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sfcsched import engine
 from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest, canonical_sfcs
 from sfcsched.engine import SimulationRun, run
-from sfcsched.fws import LabeledService, select_machine_fws
+from sfcsched.fws import LabeledService, WeightParams, select_machine_fws
 from sfcsched.greedy import GREEDY_POLICIES, greedy_select_machine
 from sfcsched.infrastructure import Machine, Topology, VmType, default_catalog
 from sfcsched.metrics import validate_run
@@ -749,6 +749,66 @@ def test_ready_queue_stays_in_priority_order(monkeypatch, policy):
     assert sum(mixed) > 100
 
 
+def queued_dependents(monkeypatch, weights):
+    """An fws run's chains, and the dependent counts its queued entries
+    carry: {(chain id, service id): {count, ...}}."""
+    queued = {}
+    dispatch = SimulationRun._dispatch
+
+    def recording(self):
+        for e in self.ready:
+            queued.setdefault((e.state.request.chain_id, e.service_id), set()).add(
+                e.dependents)
+        dispatch(self)
+
+    monkeypatch.setattr(SimulationRun, "_dispatch", recording)
+    sim = SimulationRun(Scenario(policy="fws", request_count=100, rng_seed=1,
+                                 weights=weights))
+    sim.execute()
+    chains = sim.chains
+    # some queued service has more dependents than successors
+    assert any(len(chains[cid].successors(sid)) < chains[cid].transitive_dependents(sid)
+               for cid, sid in queued)
+    return chains, queued
+
+
+def test_immediate_mode_queues_successor_counts(monkeypatch):
+    chains, queued = queued_dependents(monkeypatch, WeightParams(dependents="immediate"))
+    assert queued == {(cid, sid): {len(chains[cid].successors(sid))}
+                      for cid, sid in queued}
+
+
+def test_default_mode_queues_transitive_counts(monkeypatch):
+    chains, queued = queued_dependents(monkeypatch, WeightParams())
+    assert queued == {(cid, sid): {chains[cid].transitive_dependents(sid)}
+                      for cid, sid in queued}
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_workload_prefix_dispatches_alike_before_its_cut(policy):
+    # prefix causality: a run of requests[:k], with the same service
+    # definitions, places every service dispatched strictly before request
+    # k arrives as the whole workload's run does.  From light load to past
+    # saturation, on a small multi-cloud
+    cut_before = 0
+    for seed, rate_rps in ((1, 100.0), (2, 1000.0), (3, 3000.0)):
+        sc = Scenario(policy=policy, rng_seed=seed, request_count=300,
+                      arrival_rate_rps=rate_rps,
+                      topology_spec=TopologySpec(micro_count=4, core_count=1,
+                                                 micro_slots=2, core_slots=3))
+        whole = SimulationRun(sc)
+        whole.execute()
+        for k in (1, 75, 150, 299):
+            cut_ms = whole.requests[k].arrival_time_ms
+            prefix = SimulationRun(sc, requests=whole.requests[:k], service_defs=whole.defs)
+            prefix.execute()
+            before = [[p for p in sim.placements if p.dispatch_ms < cut_ms]
+                      for sim in (whole, prefix)]
+            assert before[0] == before[1], (seed, k)
+            cut_before += len(before[0])
+    assert cut_before > 1000
+
+
 @st.composite
 def random_chains(draw):
     """One or two small random DAGs over service ids 1..6; ids may repeat
@@ -766,37 +826,6 @@ def random_chains(draw):
 # "tiny" fits no demand above 2 GB or 1 core, so some chains wait and drop
 CATALOGS = [default_catalog(), [VmType("tiny", 2.0, 1, 25.0, 0.03)],
             [VmType("tiny", 2.0, 1, 25.0, 0.03), VmType("wide", 4.0, 4, 56.25, 0.2)]]
-
-
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(policy=st.sampled_from(POLICY_NAMES),
-       seed=st.integers(0, 10_000),
-       micro_count=st.integers(1, 6),
-       core_count=st.integers(1, 3),
-       micro_slots=st.integers(1, 4),
-       core_slots=st.integers(1, 6),
-       catalog=st.sampled_from(CATALOGS),
-       chains=st.one_of(st.just(canonical_sfcs()), random_chains()),
-       request_count=st.integers(0, 30),
-       rate_rps=st.sampled_from((50.0, 500.0, 3000.0)),
-       provision_latency_ms=st.sampled_from((0.0, 50.0)),
-       background=st.sampled_from((0.0, 0.1, 0.6)))
-def test_random_runs_pass_validate_run(policy, seed, micro_count, core_count,
-                                       micro_slots, core_slots, catalog, chains,
-                                       request_count, rate_rps,
-                                       provision_latency_ms, background):
-    topo = TopologySpec(micro_count=max(micro_count, core_count),
-                        core_count=core_count, micro_slots=micro_slots,
-                        core_slots=core_slots)
-    sc = Scenario(policy=policy, rng_seed=seed, topology_spec=topo,
-                  catalog=catalog, chains=chains, request_count=request_count,
-                  arrival_rate_rps=rate_rps, background_load_fraction=background,
-                  provision_latency_ms=provision_latency_ms,
-                  sla_delay_range_ms=(50.0, 600.0))
-    sim = SimulationRun(sc)
-    sim.execute()
-    validate_run(sim)
-
 
 
 def test_validate_run_replays_link_loads(monkeypatch):

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from sfcsched import metrics
 from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest
 from sfcsched.engine import Placement, SimulationRun, run
 from sfcsched.infrastructure import Machine, default_catalog, default_topology
-from sfcsched.metrics import _replay, check_sla, total_cost, validate_run
+from sfcsched.metrics import _replay, check_sla, report, total_cost, validate_run
 from sfcsched.scenario import Scenario, TopologySpec
 
 
@@ -32,7 +33,7 @@ def replay(machines, defs, placements, states, chains):
                           placements=placements, states=states,
                           scenario=SimpleNamespace(provision_latency_ms=50.0,
                                                    resume_latency_ms=0.0))
-    return _replay(sim, chains)
+    return _replay(sim, chains)[0]
 
 
 def replayed_traffic(chain, data, machine_of):
@@ -326,5 +327,53 @@ def test_validate_run_flags_each_corruption_with_its_own_message(check):
     corrupt, message = CORRUPTIONS[check]
     sim = finished_run()
     corrupt(sim)
+    with pytest.raises(AssertionError, match=message):
+        validate_run(sim)
+
+
+def rejudge(satisfied, cost_share):
+    """Mark a completed request's record `satisfied`, and once `report` has
+    judged it, bound the request's delay at its turnaround and its cost at
+    `cost_share` times its attributed cost."""
+    def corrupt(sim, records):
+        record = first(records, lambda r: r.turnaround_ms)
+        record.satisfied = satisfied
+        state = sim.states[record.request_id]
+        state.request = dataclasses.replace(
+            state.request, delay_sla_ms=record.turnaround_ms,
+            cost_sla=cost_share * record.attributed_cost)
+    return corrupt
+
+
+# recount check -> (corruption of the run's `report` records, and of its
+# requests' SLAs after `report`, the message it must raise)
+RECORD_CORRUPTIONS = {
+    "turnaround": (lambda sim, records: add(first(records, lambda r: r.turnaround_ms),
+                                            "turnaround_ms", 1.0),
+                   r"request \d+: turnaround .* != recounted"),
+    "attributed cost": (lambda sim, records: add(records[0], "attributed_cost", 1.0),
+                        r"request \d+: attributed cost .* != recounted"),
+    "delay SLA": (lambda sim, records: setattr(first(records, lambda r: r.turnaround_ms),
+                                               "satisfied", True),
+                  r"request \d+: satisfied, yet turnaround .* misses its delay SLA"),
+    "cost SLA": (rejudge(True, 0.5),
+                 r"request \d+: satisfied, yet cost .* exceeds its cost SLA"),
+    # both bounds are inclusive
+    "unsatisfied": (rejudge(False, 1.0),
+                    r"request \d+: unsatisfied, yet within its delay and cost SLAs"),
+}
+
+
+@pytest.mark.parametrize("check", RECORD_CORRUPTIONS)
+def test_validate_run_flags_each_corrupted_record_with_its_own_message(monkeypatch, check):
+    corrupt, message = RECORD_CORRUPTIONS[check]
+
+    def corrupted(sim):
+        result = report(sim)
+        corrupt(sim, result.per_request)
+        return result
+
+    sim = finished_run()
+    monkeypatch.setattr(metrics, "report", corrupted)
     with pytest.raises(AssertionError, match=message):
         validate_run(sim)

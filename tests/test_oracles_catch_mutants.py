@@ -12,10 +12,11 @@ leaves both schedules alike, so `validate_run` itself must flag those.
 
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from sfcsched import engine, fws, greedy
+from sfcsched import engine, fws, greedy, metrics
 from sfcsched.engine import SimulationRun
 from sfcsched.greedy import GREEDY_POLICIES, decreasing_time
 from sfcsched.infrastructure import Topology, default_catalog, provision_choice
@@ -179,6 +180,45 @@ def traffic_counts_colocated_edges(monkeypatch):
     monkeypatch.setattr(SimulationRun, "_place", counting)
 
 
+def turnaround_from_first_dispatch(monkeypatch):
+    """`report` counts each request's turnaround from its first dispatch,
+    not from its arrival."""
+    report = metrics.report
+
+    def from_dispatch(sim):
+        requests = {rid: state.request for rid, state in sim.states.items()}
+        for p in reversed(sim.placements):  # each request's first dispatch last
+            state = sim.states[p.instance_id]
+            state.request = dataclasses.replace(requests[p.instance_id],
+                                                arrival_time_ms=p.dispatch_ms)
+        try:
+            return report(sim)
+        finally:
+            for rid, request in requests.items():
+                sim.states[rid].request = request
+
+    monkeypatch.setattr(metrics, "report", from_dispatch)
+
+
+def cost_spans_from_start(monkeypatch):
+    """A placement holds its machine, in the attributed cost, from its start
+    rather than its dispatch."""
+    attributed = metrics._attributed_costs
+    monkeypatch.setattr(metrics, "_attributed_costs", lambda sim: attributed(
+        SimpleNamespace(machines=sim.machines,
+                        placements=[dataclasses.replace(p, dispatch_ms=p.start_ms)
+                                    for p in sim.placements])))
+
+
+def delay_sla_20_ms_stricter(monkeypatch):
+    """`check_sla` holds each request to 20 ms less than its delay SLA."""
+    check_sla = metrics.check_sla
+    monkeypatch.setattr(metrics, "check_sla",
+                        lambda request, turnaround_ms, cost, dropped=False:
+                        check_sla(request, turnaround_ms, cost, dropped)
+                        and turnaround_ms <= request.delay_sla_ms - 20.0)
+
+
 def first_finish_by_decreasing_time(monkeypatch):
     """`lfff` and `mfff` order their queues longest execution first."""
     for name in ("lfff", "mfff"):
@@ -251,9 +291,12 @@ def provision_the_costliest_type(monkeypatch):
     provisioning_patched(monkeypatch, costliest)
 
 
+# the mutants of the report alone: no schedule changes
+REPORT_MUTANTS = (turnaround_from_first_dispatch, cost_spans_from_start,
+                  delay_sla_20_ms_stricter)
 # the mutants only validate_run can flag: Reference shares what they change
 VALIDATE_RUN_MUTANTS = (boot_not_charged, transfer_delays_halved, transfers_load_no_link,
-                        traffic_counts_colocated_edges)
+                        traffic_counts_colocated_edges, *REPORT_MUTANTS)
 MUTANTS = (no_fresh_machine, stuck_demands_kept, no_wake_on_enqueue,
            labels_prefer_longest_exec, *VALIDATE_RUN_MUTANTS,
            first_finish_by_decreasing_time, drop_at(0.5), drop_at(1.5),
@@ -282,3 +325,20 @@ def test_oracles_flag_a_stale_machine_order_on_every_greedy_run(monkeypatch):
 def test_validate_run_itself_catches_the_mutant(monkeypatch, mutant):
     mutant(monkeypatch)
     assert any(flagged_by_validate_run(sc, inputs) for sc, inputs in small_runs())
+
+
+def run_report(sc, inputs):
+    sim = SimulationRun(sc, **inputs)
+    sim.execute()
+    return metrics.report(sim)
+
+
+@pytest.mark.parametrize("mutant", REPORT_MUTANTS, ids=lambda mutant: mutant.__name__)
+def test_validate_run_flags_a_report_mutant_on_every_run_whose_report_it_changes(
+        monkeypatch, mutant):
+    runs = small_runs()
+    reports = [run_report(sc, inputs) for sc, inputs in runs]
+    mutant(monkeypatch)
+    changed = [(sc, inputs) for (sc, inputs), before in zip(runs, reports)
+               if run_report(sc, inputs) != before]
+    assert changed and all(flagged_by_validate_run(sc, inputs) for sc, inputs in changed)

@@ -93,20 +93,23 @@ def schedule(sim):
 
 
 @st.composite
-def reference_runs(draw, max_micro_count=8, max_core_count=1, max_requests=40):
+def reference_runs(draw, max_micro_count=8, max_core_count=3, max_requests=40):
     """A random scenario and its preprovisioned machines: policies, catalogs,
-    topologies, chains, loads and SLAs that reach past saturation."""
+    topologies, chains, loads, background link loads and SLAs that reach
+    past saturation."""
     micro_count = draw(st.integers(1, max_micro_count))
     core_count = draw(st.integers(1, min(max_core_count, micro_count)))
-    core_slots = draw(st.integers(1, 4))
+    core_slots = draw(st.integers(1, 6))
     topo = TopologySpec(micro_count=micro_count, core_count=core_count,
-                        micro_slots=draw(st.integers(1, 3)), core_slots=core_slots)
+                        micro_slots=draw(st.integers(1, 4)), core_slots=core_slots)
     sc = Scenario(policy=draw(st.sampled_from(POLICY_NAMES)),
                   rng_seed=draw(st.integers(0, 10_000)), topology_spec=topo,
                   catalog=draw(st.sampled_from(CATALOGS)),
                   chains=draw(st.one_of(st.just(canonical_sfcs()), random_chains())),
                   request_count=draw(st.integers(0, max_requests)),
-                  arrival_rate_rps=draw(st.sampled_from((100.0, 1000.0, 5000.0))),
+                  arrival_rate_rps=draw(st.sampled_from((50.0, 100.0, 500.0, 1000.0,
+                                                         3000.0, 5000.0))),
+                  background_load_fraction=draw(st.sampled_from((0.0, 0.1, 0.6))),
                   provision_latency_ms=draw(st.sampled_from((0.0, 50.0))),
                   sla_delay_range_ms=draw(st.sampled_from(((20.0, 80.0),
                                                            (50.0, 600.0)))),
@@ -133,7 +136,7 @@ def assert_matches_reference(sc, inputs):
     assert engine_schedule == schedule(Reference(sc, **inputs))
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(run=reference_runs())
 def test_engine_matches_reference(run):
     assert_matches_reference(*run)
