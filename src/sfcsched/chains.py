@@ -6,6 +6,7 @@ progress through its chain is a count of unfinished predecessors per service,
 kept by the simulation loop and advanced by :func:`ready_services`.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import CycleDetected, DanglingEdge, UnknownService
@@ -22,9 +23,10 @@ class MicroServiceDef:
     cores: int
 
     def __post_init__(self):
-        if self.exec_time_ms <= 0 or self.data_out_kb <= 0:
+        # chained against math.inf: NaN and both infinities fail each bound
+        if not (0 < self.exec_time_ms < math.inf and 0 < self.data_out_kb < math.inf):
             raise ValueError(f"service {self.id}: times and sizes must be positive")
-        if self.memory_gb <= 0 or self.cores < 1:
+        if not (0 < self.memory_gb < math.inf and 1 <= self.cores < math.inf):
             raise ValueError(f"service {self.id}: resource demand must be positive")
 
 
@@ -115,9 +117,10 @@ class UserRequest:
     cost_sla: float
 
     def __post_init__(self):
-        if self.delay_sla_ms <= 0 or self.cost_sla <= 0:
+        # chained against math.inf: NaN and both infinities fail each bound
+        if not (0 < self.delay_sla_ms < math.inf and 0 < self.cost_sla < math.inf):
             raise ValueError(f"request {self.request_id}: SLA bounds must be positive")
-        if self.arrival_time_ms < 0:
+        if not 0 <= self.arrival_time_ms < math.inf:
             raise ValueError(f"request {self.request_id}: negative arrival time")
 
 

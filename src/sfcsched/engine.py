@@ -71,13 +71,13 @@ def _drop_time(arrival_ms, sla_ms):
     """The least float `now` with `now - arrival_ms > sla_ms`.
 
     Float subtraction is monotone in `now`, so that test holds exactly from
-    this value on.  The rounded sum lies within a step or two of it.
+    this value on.  Round-to-nearest never puts the sum past that value, so
+    the search only climbs from it, a step or two; for the finite inputs
+    `UserRequest` admits, it ends at `inf` at the latest.
     """
     t = arrival_ms + sla_ms
-    while not t - arrival_ms > sla_ms and t < math.inf:
+    while not t - arrival_ms > sla_ms:
         t = math.nextafter(t, math.inf)
-    while (below := math.nextafter(t, -math.inf)) - arrival_ms > sla_ms:
-        t = below
     return t
 
 

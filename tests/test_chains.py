@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -197,3 +198,21 @@ def test_request_and_def_validation():
         UserRequest(0, 1, 0.0, delay_sla_ms=-1.0, cost_sla=1.0)
     with pytest.raises(ValueError):
         MicroServiceDef(1, exec_time_ms=0.0, data_out_kb=5, memory_gb=1.0, cores=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_numeric_field_rejects_nan_and_infinities(bad):
+    # `nan <= 0` is false, so a bound written as a negated test lets NaN in
+    request = dict(arrival_time_ms=0.0, delay_sla_ms=10.0, cost_sla=1.0)
+    for name, message in (("arrival_time_ms", "negative arrival time"),
+                          ("delay_sla_ms", "SLA bounds must be positive"),
+                          ("cost_sla", "SLA bounds must be positive")):
+        with pytest.raises(ValueError, match=message):
+            UserRequest(0, 1, **{**request, name: bad})
+    service = dict(exec_time_ms=10.0, data_out_kb=5.0, memory_gb=1.0, cores=1)
+    for name, message in (("exec_time_ms", "times and sizes must be positive"),
+                          ("data_out_kb", "times and sizes must be positive"),
+                          ("memory_gb", "resource demand must be positive"),
+                          ("cores", "resource demand must be positive")):
+        with pytest.raises(ValueError, match=message):
+            MicroServiceDef(1, **{**service, name: bad})

@@ -598,6 +598,8 @@ FINITE = dict(allow_nan=False, allow_infinity=False)
 @example(arrival=1.7976931348623157e308, sla=1.7976931348623157e308)
 def test_drop_time_is_the_least_expired_now(arrival, sla):
     drop_at = engine._drop_time(arrival, sla)
+    # the search starts at the rounded sum and only climbs
+    assert drop_at >= arrival + sla
     assert drop_at - arrival > sla
     assert not math.nextafter(drop_at, -math.inf) - arrival > sla
 

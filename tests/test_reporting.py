@@ -479,6 +479,33 @@ def test_cli_sweep_stdout(tmp_path, capsys):
     assert len(rows) == 8
 
 
+def test_cli_sweep_policy_narrows_the_file_policies(tmp_path, capsys):
+    sweep = {"demand_points": [2], "repetitions": 1, "demand_window_s": 0.05}
+    outputs = []
+    for policies, argv in ((["fws", "lfff", "mfdt"], ["--policy", "lfff"]),
+                           (["lfff"], [])):
+        path = write_scenario(tmp_path, {"sweep": {**sweep, "policies": policies}},
+                              f"{len(policies)}.json")
+        assert cli_main(["sweep", "--scenario", path, *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert {r.policy for r in load_results(outputs[0])} == {"lfff"}
+    assert outputs[0] == outputs[1]
+
+
+def test_render_rejects_no_rows_and_an_unknown_format():
+    with pytest.raises(ValidationError, match="nothing to emit"):
+        render_results([])
+    rows = run_sweep(Scenario(), tiny_sweep())
+    with pytest.raises(ValidationError, match="unknown output format 'xml'"):
+        render_results(rows, "xml")
+
+
+def test_cli_run_into_a_directory_exits_1(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"workload": {"request_count": 5}})
+    assert cli_main(["run", "--scenario", path, "--out", str(tmp_path)]) == 1
+    assert "cannot write results" in capsys.readouterr().err
+
+
 # Any JSON value; small numbers and short lists of them are drawn often, so
 # many examples get past the first checks to the later ones.
 json_values = st.recursive(

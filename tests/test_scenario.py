@@ -2,6 +2,7 @@ import statistics
 
 import pytest
 
+from sfcsched.chains import ServiceChain
 from sfcsched.errors import ValidationError
 from sfcsched.scenario import (MAX_REQUEST_COUNT, Scenario, generate_workload,
                                sample_service_defs)
@@ -65,10 +66,15 @@ def test_service_defs_within_ranges_and_stable():
     ("sla_delay_range_ms", (500.0, 100.0)),
     ("request_count", -2),
     ("service_cores_choices", ()),
+    # a scenario file cannot give an empty list: its parser refuses one first
+    ("catalog", []),
+    ("chains", []),
+    ("chains", [ServiceChain(1, {1}, set()), ServiceChain(1, {2}, set())]),
 ])
 def test_scenario_validation_rejects(field, value):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         Scenario(**{field: value}).validate()
+    assert err.value.field in (field, f"workload.{field}")
 
 
 def test_clock_rule_keeps_every_resolvable_horizon():
