@@ -25,9 +25,11 @@ class MicroServiceDef:
     def __post_init__(self):
         # chained against math.inf: NaN and both infinities fail each bound
         if not (0 < self.exec_time_ms < math.inf and 0 < self.data_out_kb < math.inf):
-            raise ValueError(f"service {self.id}: times and sizes must be positive")
+            raise ValueError(
+                f"service {self.id}: times and sizes must be finite and positive")
         if not (0 < self.memory_gb < math.inf and 1 <= self.cores < math.inf):
-            raise ValueError(f"service {self.id}: resource demand must be positive")
+            raise ValueError(
+                f"service {self.id}: resource demand must be finite and positive")
 
 
 class ServiceChain:
@@ -119,9 +121,11 @@ class UserRequest:
     def __post_init__(self):
         # chained against math.inf: NaN and both infinities fail each bound
         if not (0 < self.delay_sla_ms < math.inf and 0 < self.cost_sla < math.inf):
-            raise ValueError(f"request {self.request_id}: SLA bounds must be positive")
+            raise ValueError(
+                f"request {self.request_id}: SLA bounds must be finite and positive")
         if not 0 <= self.arrival_time_ms < math.inf:
-            raise ValueError(f"request {self.request_id}: negative arrival time")
+            raise ValueError(
+                f"request {self.request_id}: arrival time must be finite and >= 0")
 
 
 def ready_services(chain, finished, unfinished_preds):

@@ -38,6 +38,7 @@ EVENT_FINISH = 2
 EVENT_START = 3
 EVENT_ARRIVAL = 4  # never in the heap: the next request in arrival order
 _RANK = attrgetter("rank")  # the key `ranked` is ordered by
+_KEY = attrgetter("key")  # the key `ready` is ordered by
 
 
 @dataclass(slots=True)
@@ -129,7 +130,7 @@ class SimulationRun:
         self._events = []          # heap of (time_ms, kind, seq, payload)
         self.machines = []
         self.placements = []
-        self.ready = []            # LabeledService entries, in _priority_key order
+        self.ready = []            # LabeledService entries, filed under `key`
         self.states = {}           # request_id -> _RequestState
         self.arrived = 0           # requests[:arrived] have arrived
         self.completed = 0
@@ -234,12 +235,14 @@ class SimulationRun:
             self._walk_at = -math.inf
         elif state.drop_at < self._walk_at:
             self._walk_at = state.drop_at
-        bisect.insort(self.ready, LabeledService(
-            request.request_id, service_id, label, self.now,
-            sdef.exec_time_ms, dependents, state, demand), key=self._priority_key)
+        entry = LabeledService(request.request_id, service_id, label, self.now,
+                               sdef.exec_time_ms, dependents, state, demand)
+        entry.key = self._priority_key(entry)
+        bisect.insort(self.ready, entry, key=_KEY)
 
     def _dispatch(self):
-        """One pass over the ready queue, which is kept in priority order.
+        """One pass over the ready queue, which is kept in priority order:
+        each entry is filed under its `key`, computed once at enqueue.
 
         Selection is passed the machines in `ranked` (active, with a free
         core) in policy order, including every one that fits the demand.
@@ -247,16 +250,17 @@ class SimulationRun:
         fits the (memory, cores) demand and no node can take a machine of a
         type covering it.  Node slots are never freed, placements only take
         capacity and link load decides no fit, so a failed demand joins a
-        set local to the pass and its later entries skip selection; the set
-        becomes `_stuck` when the pass ends.  From then on only a machine
-        that `_freed` handles, a release (`_on_finish`) or a boot (an event
-        that sorts before every pass at its time), can fit a stuck demand,
-        and `_freed` keeps each one that fits some stuck demand in `_fresh`
-        until the next walked pass ends.  A stuck demand's selection is
-        passed only the `_fresh` machines that still fit it, in policy
-        order, so it picks what a selection over `ranked` would; with none,
-        selection is skipped.  The entries neither placed nor dropped, still
-        in order, form the next queue.
+        set local to the pass once, and each later entry of it costs only
+        that set lookup and its drop test; the set becomes `_stuck` when the
+        pass ends.  From then on only a machine that `_freed` handles, a
+        release (`_on_finish`) or a boot (an event that sorts before every
+        pass at its time), can fit a stuck demand, and `_freed` keeps each
+        one that fits some stuck demand in `_fresh` until the next walked
+        pass ends.  A stuck demand's selection is passed only the `_fresh`
+        machines that still fit it, in policy order, so it picks what a
+        selection over `ranked` would; with none, selection is skipped.
+        The entries neither placed nor dropped, still in order, form the
+        next queue.
 
         After a walked pass every waiting demand is stuck and no machine is
         fresh, so until a demand that is not stuck is enqueued or `_freed`
@@ -271,7 +275,7 @@ class SimulationRun:
         now = self.now
         stuck, fresh = self._stuck, self._fresh
         ranked = self.ranked
-        failed = None  # the demands that found no machine in this pass
+        failed = set()  # the demands that found no machine in this pass
         waiting = []
         next_drop = math.inf
         for entry in self.ready:
@@ -279,24 +283,19 @@ class SimulationRun:
             if state.dropped:  # dropped earlier in this pass
                 continue
             demand = entry.demand
-            if failed is not None and demand in failed:
-                machines = None
-            elif demand in stuck:
-                memory_gb, cores = demand
-                machines = sorted(
-                    (m for m in fresh.values() if m.fits(memory_gb, cores)),
-                    key=_RANK) or None
-            else:
-                machines = ranked
-            if machines is not None:
-                preds = self._pred_placements(entry)
-                choice = self._select_machine(entry, preds, machines)
-                if choice is not None:
-                    self._place(entry, choice, preds)
-                    continue
-            if failed is None:
-                failed = {demand}
-            else:
+            if demand not in failed:
+                if demand in stuck:
+                    memory_gb, cores = demand
+                    machines = [m for m in fresh.values() if m.fits(memory_gb, cores)]
+                    machines.sort(key=_RANK)
+                else:
+                    machines = ranked
+                if machines or machines is ranked:  # else no machine can fit
+                    preds = self._pred_placements(entry)
+                    choice = self._select_machine(entry, preds, machines)
+                    if choice is not None:
+                        self._place(entry, choice, preds)
+                        continue
                 failed.add(demand)
             if now >= state.drop_at:
                 self._drop(state)
@@ -306,8 +305,7 @@ class SimulationRun:
                     next_drop = state.drop_at
         self.ready = waiting
         self._walk_at = next_drop
-        if failed or stuck:
-            self._stuck = failed or set()
+        self._stuck = failed
         if fresh:
             self._fresh = {}
 

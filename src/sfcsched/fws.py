@@ -43,10 +43,12 @@ class LabeledService:
     enqueue_time_ms: float
     exec_time_ms: float
     dependents: int
-    # the queue owner's record of the request, and the (memory_gb, cores)
-    # demand: set once at enqueue, so a queue walk looks neither up
+    # the queue owner's record of the request, the (memory_gb, cores) demand
+    # and the entry's ready-queue sort key: set once at enqueue, so a queue
+    # walk or insert computes none of them
     state: object = None
     demand: tuple = None
+    key: tuple = None
 
 
 def assign_labels(chain, exec_time_ms) -> dict:

@@ -200,19 +200,34 @@ def test_request_and_def_validation():
         MicroServiceDef(1, exec_time_ms=0.0, data_out_kb=5, memory_gb=1.0, cores=1)
 
 
+REQUEST = dict(arrival_time_ms=0.0, delay_sla_ms=10.0, cost_sla=1.0)
+SERVICE = dict(exec_time_ms=10.0, data_out_kb=5.0, memory_gb=1.0, cores=1)
+# each numeric field, a value below its range, and the message naming both
+# of its rules
+REQUEST_RULES = (("arrival_time_ms", -1.0, "arrival time must be finite and >= 0"),
+                 ("delay_sla_ms", 0.0, "SLA bounds must be finite and positive"),
+                 ("cost_sla", -1.0, "SLA bounds must be finite and positive"))
+SERVICE_RULES = (("exec_time_ms", 0.0, "times and sizes must be finite and positive"),
+                 ("data_out_kb", -5.0, "times and sizes must be finite and positive"),
+                 ("memory_gb", 0.0, "resource demand must be finite and positive"),
+                 ("cores", 0, "resource demand must be finite and positive"))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_every_numeric_field_rejects_nan_and_infinities(bad):
     # `nan <= 0` is false, so a bound written as a negated test lets NaN in
-    request = dict(arrival_time_ms=0.0, delay_sla_ms=10.0, cost_sla=1.0)
-    for name, message in (("arrival_time_ms", "negative arrival time"),
-                          ("delay_sla_ms", "SLA bounds must be positive"),
-                          ("cost_sla", "SLA bounds must be positive")):
+    for name, _, message in REQUEST_RULES:
         with pytest.raises(ValueError, match=message):
-            UserRequest(0, 1, **{**request, name: bad})
-    service = dict(exec_time_ms=10.0, data_out_kb=5.0, memory_gb=1.0, cores=1)
-    for name, message in (("exec_time_ms", "times and sizes must be positive"),
-                          ("data_out_kb", "times and sizes must be positive"),
-                          ("memory_gb", "resource demand must be positive"),
-                          ("cores", "resource demand must be positive")):
+            UserRequest(0, 1, **{**REQUEST, name: bad})
+    for name, _, message in SERVICE_RULES:
         with pytest.raises(ValueError, match=message):
-            MicroServiceDef(1, **{**service, name: bad})
+            MicroServiceDef(1, **{**SERVICE, name: bad})
+
+
+def test_every_numeric_field_rejects_a_value_below_its_range():
+    for name, low, message in REQUEST_RULES:
+        with pytest.raises(ValueError, match=message):
+            UserRequest(0, 1, **{**REQUEST, name: low})
+    for name, low, message in SERVICE_RULES:
+        with pytest.raises(ValueError, match=message):
+            MicroServiceDef(1, **{**SERVICE, name: low})

@@ -658,6 +658,35 @@ def test_entry_drops_exactly_at_its_drop_time():
     assert sim.ready == [] and sim.states[2].dropped and sim.dropped == 1
 
 
+def test_a_failed_demands_later_entries_make_only_their_drop_test(monkeypatch):
+    # both machines are full, so every demand fails; the queue is walked
+    # once, at the drop time of request 4, whose demand failed earlier in
+    # that pass with request 2
+    small = default_catalog()[0]
+    sim = two_slot_run([ServiceChain(1, {1}, set()), ServiceChain(2, {2}, set())],
+                       {1: MicroServiceDef(1, 50.0, 10.0, 1.0, 1),
+                        2: MicroServiceDef(2, 50.0, 10.0, 2.0, 1)},
+                       initial_machines=[(0, small), (1, small)])
+    arrive(sim, 0, 1, 0.0)
+    arrive(sim, 1, 1, 0.0)
+    assert sim.ready == [] and sim._stuck == set()
+    sim._dispatch = lambda: None  # queue the entries below without a pass
+    for rid, chain_id, sla in ((2, 1, 5000.0), (3, 2, 4000.0), (4, 1, 0.2),
+                               (5, 1, 3000.0)):
+        sim._on_arrival(UserRequest(rid, chain_id, 0.0, sla, 10.0))
+    del sim._dispatch
+    assert [e.instance_id for e in sim.ready] == [2, 3, 4, 5]
+    seen = count_selections(monkeypatch)
+    sim.now = sim.states[4].drop_at
+    sim._dispatch()
+    assert seen == [(1.0, 1), (2.0, 1)]  # requests 4 and 5 make no selection
+    assert [e.instance_id for e in sim.ready] == [2, 3, 5]
+    assert sim.states[4].dropped and sim.dropped == 1
+    assert sim._walk_at == sim.states[5].drop_at == min(
+        e.state.drop_at for e in sim.ready)
+    assert sim._stuck == {(1.0, 1), (2.0, 1)}
+
+
 def recorded_drops(monkeypatch):
     """(now, request_id) of every drop the run makes, in order."""
     drops = []
@@ -740,6 +769,7 @@ def test_ready_queue_stays_in_priority_order(monkeypatch, policy):
         def wrapper(self, *args):
             method(self, *args)
             assert self.ready == sorted(self.ready, key=self._priority_key)
+            assert all(e.key == self._priority_key(e) for e in self.ready)
             mixed.append(len({e.enqueue_time_ms for e in self.ready}) > 1)
         return wrapper
 
