@@ -399,9 +399,7 @@ class SimulationRun:
             entry.instance_id, entry.service_id, machine.machine_id, start,
             finish, t, boot_ms, transfer_ms, transfers_in))
         state.placed[entry.service_id] = machine
-        # a start frees nothing and is only a dispatch time; with no
-        # payload it needs no distinct sequence number
-        heapq.heappush(self._events, (start, EVENT_START, 0, None))
+        self._push(start, EVENT_START, None)
         self._push(finish, EVENT_FINISH,
                    (entry.instance_id, entry.service_id, machine))
 

@@ -110,17 +110,10 @@ class Link:
     transfer_pps: float = 0.0  # sum of active transfer line rates
 
     def delay_s(self, rho_max=TopologySpec.rho_max):
-        """Current sojourn time at the combined load; clamped below saturation."""
-        return _clamped_delay(self.background_pps + self.transfer_pps,
-                              self.mu_pps, rho_max)
-
-
-@functools.lru_cache(maxsize=1024, typed=True)
-def _clamped_delay(lambda_pps, mu_pps, rho_max):
-    """`link_delay` at the load clamped to `rho_max * mu_pps`; memoised, as
-    a run sees few distinct loads.  Equal keys (-0.0 and 0.0 too) give equal
-    bits, and a call that raises is not cached, so it raises every time."""
-    return link_delay(min(lambda_pps, rho_max * mu_pps), mu_pps)
+        """Current sojourn time at the combined load, clamped to `rho_max *
+        mu_pps` below saturation."""
+        return link_delay(min(self.background_pps + self.transfer_pps,
+                              rho_max * self.mu_pps), self.mu_pps)
 
 
 @dataclass
@@ -210,9 +203,6 @@ class Topology:
         self._routes = _all_pairs_routes(
             tuple((n, tuple(self.adj[n])) for n in sorted(self.adj)))
         self._open = sorted(self.nodes)
-        # The route table holds link keys, as topologies of one shape share
-        # it; (src, dst) -> this topology's route Links, filled on first use
-        self._paths = {}
 
     def open_node_ids(self):
         """Ids of the nodes with a free VM slot, ascending.  Slots are never
@@ -229,22 +219,14 @@ class Topology:
     def hops(self, src, dst):
         return len(self.route(src, dst))
 
-    def _path(self, src, dst):
-        """This topology's `Link` objects along `route(src, dst)`."""
-        path = self._paths.get((src, dst))
-        if path is None:
-            path = self._paths[src, dst] = tuple(
-                self.links[k] for k in self.route(src, dst))
-        return path
-
     def path_delay_s(self, src, dst):
         """Sum of link sojourn times along the min-hop route, in seconds."""
-        return self._wait_s(self._path(src, dst))
+        return self._wait_s(self.route(src, dst))
 
-    def _wait_s(self, path):
+    def _wait_s(self, route):
         total = 0  # left to right, so the bits are the same on every Python
-        for link in path:
-            total += link.delay_s(self.rho_max)
+        for key in route:
+            total += self.links[key].delay_s(self.rho_max)
         return total
 
     def set_background_load(self, fraction):
@@ -262,25 +244,26 @@ class Topology:
         The data serializes at the slower of the two NICs.  Across nodes it
         also waits out the M/D/1 sojourn of every min-hop route link at the
         current load, then adds its line rate to those links while in
-        flight, so later transfers see it.  `transfer` is (path, rate_pps)
-        for `end_transfer`, `path` being the route's `Link` objects, or None
-        within one node, where no link is loaded.
+        flight, so later transfers see it.  `transfer` is (route, rate_pps)
+        for `end_transfer`, `route` being the link keys of `route(src, dst)`,
+        or None within one node, where no link is loaded.
         """
         bw = min(src_machine.vm_type.max_bandwidth_mbps,
                  dst_machine.vm_type.max_bandwidth_mbps)
         delay_ms = data_kb / bw  # kB over MB/s serializes in ms
         if src_machine.node_id == dst_machine.node_id:
             return delay_ms, None
-        path = self._path(src_machine.node_id, dst_machine.node_id)
-        delay_ms += 1000.0 * self._wait_s(path)
+        route = self.route(src_machine.node_id, dst_machine.node_id)
+        delay_ms += 1000.0 * self._wait_s(route)
         rate_pps = self.line_rate_pps(bw)
-        for link in path:
-            link.transfer_pps += rate_pps
-        return delay_ms, (path, rate_pps)
+        for key in route:
+            self.links[key].transfer_pps += rate_pps
+        return delay_ms, (route, rate_pps)
 
-    def end_transfer(self, path, rate_pps):
+    def end_transfer(self, route, rate_pps):
         """Release the link load of a transfer from `start_transfer`."""
-        for link in path:
+        for key in route:
+            link = self.links[key]
             link.transfer_pps = max(0.0, link.transfer_pps - rate_pps)
 
 

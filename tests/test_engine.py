@@ -161,8 +161,7 @@ def test_event_before_now_is_rejected():
     # falls before `now`, however slightly, is a bug and not rounding; the
     # check covers the heap's events and the arrivals alike
     late = math.nextafter(100.0, -math.inf)
-    for push in (lambda sim: heapq.heappush(sim._events,
-                                            (late, engine.EVENT_START, 0, None)),
+    for push in (lambda sim: sim._push(late, engine.EVENT_START, None),
                  lambda sim: sim._push(late, engine.EVENT_TRANSFER, ((), 0.0)),
                  lambda sim: sim.requests.append(UserRequest(0, 1, late, 450.0, 0.3))):
         sim = SimulationRun(Scenario(request_count=0))
@@ -189,7 +188,7 @@ def test_equal_time_events_run_boot_transfer_finish_start_arrival():
     sim._on_arrival = arrival
     # pushed in reverse rank order, with a start on either side of 10 ms
     for t in (10.0, 5.0, 20.0, 10.0):
-        heapq.heappush(sim._events, (t, engine.EVENT_START, 0, None))
+        sim._push(t, engine.EVENT_START, None)
     for t in (10.0, 5.0):
         sim._push(t, engine.EVENT_FINISH, ())
         sim._push(t, engine.EVENT_TRANSFER, ((), 0.0))
@@ -199,6 +198,24 @@ def test_equal_time_events_run_boot_transfer_finish_start_arrival():
                     (5.0, "start"), (5.0, "arrival"), (10.0, "boot"),
                     (10.0, "transfer"), (10.0, "finish"), (10.0, "start"),
                     (10.0, "start"), (10.0, "arrival"), (20.0, "start")]
+
+
+def test_every_event_in_the_heap_has_its_own_sequence_number():
+    # starts too: each event is pushed through `_push`, so none shares its
+    # (time, kind, seq) with another
+    sim = SimulationRun(Scenario(request_count=200))
+    dispatch, most = sim._dispatch, [0]
+
+    def check():
+        seqs = [seq for _, _, seq, _ in sim._events]
+        assert len(set(seqs)) == len(seqs)
+        most[0] = max(most[0], sum(kind == engine.EVENT_START
+                                   for _, kind, _, _ in sim._events))
+        dispatch()
+
+    sim._dispatch = check
+    sim.execute()
+    assert most[0] > 1  # some pass saw several starts pending
 
 
 def test_unsorted_requests_arrive_in_time_order_then_list_order(monkeypatch):
@@ -568,6 +585,17 @@ def test_simulation_run_has_fewer_than_30_instance_attributes():
         "a 30th instance attribute slows every `self.` access on CPython 3.11: "
         "one dummy attribute cost about 6% on sweep cells; keep new state "
         "inside an existing attribute")
+
+
+def test_rerank_rejects_a_machine_not_filed_at_its_rank():
+    vm = default_catalog()[1]
+    sim = SimulationRun(Scenario(policy="lfff", request_count=0),
+                        initial_machines=[(0, vm), (1, vm)])
+    first, second = sim.machines
+    assert sim.ranked == [first, second]
+    second.rank = (-1.0, second.machine_id)  # below the first machine's key
+    with pytest.raises(AssertionError, match="machine 1 not at its rank"):
+        sim._rerank(second)
 
 
 def test_booting_machine_joins_ranked_at_its_boot_pass():

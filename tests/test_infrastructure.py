@@ -85,8 +85,8 @@ STEPS = st.lists(st.one_of(
                 ("rho_max", 0.0), ("clamp", 1.0), ("mu_pps", 0.0)])
 def test_link_delay_s_equals_the_uncached_clamped_formula(mu, background, transfer,
                                                           rho_max, steps):
-    # delay_s is memoised on (load, rate, clamp); a changed attribute must
-    # give the fresh value, bit for bit, and a bad rate must raise each time
+    # delay_s reads the link's current load and rate: a changed attribute
+    # must give the fresh value, bit for bit, and a bad rate must raise each time
     link = Link((0, 1), mu, background, transfer)
     for attr, value in [(None, None)] + steps:
         if attr == "rho_max":
@@ -99,7 +99,7 @@ def test_link_delay_s_equals_the_uncached_clamped_formula(mu, background, transf
         expect = delay_outcome(link_delay, min(lam, rho_max * link.mu_pps), link.mu_pps)
         if link.mu_pps <= 0:
             assert expect is NonPositiveRate
-        for _ in range(2):  # the second call is answered from the memo
+        for _ in range(2):  # a repeated call gives the same outcome
             assert delay_outcome(link.delay_s, rho_max) == expect
 
 
@@ -202,15 +202,25 @@ def test_default_topology_rejects_an_invalid_spec(spec, path):
     assert err.value.field == path
 
 
+def test_background_load_must_lie_in_zero_to_one():
+    topo = default_topology()
+    for fraction in (1.0, -0.1):
+        with pytest.raises(ValueError, match="outside"):
+            topo.set_background_load(fraction)
+    topo.set_background_load(0.0)
+    assert all(link.background_pps == 0.0 for link in topo.links.values())
+
+
 def test_route_table_is_shared_per_topology_shape():
     a, b = default_topology(), default_topology()
     assert a._routes is b._routes
     assert all(type(route) is tuple for route in a._routes.values())
     # the shared table carries no load: each topology keeps its own links
     a.set_background_load(0.5)
-    route = a.route(0, 19)
-    a.links[route[0]].transfer_pps += 100.0
-    assert b.links[route[0]].transfer_pps == 0.0
+    fast = default_catalog()[3]
+    a.start_transfer(Machine(0, 0, fast), Machine(1, 19, fast), 100.0)
+    assert all(a.links[key].transfer_pps > 0.0 for key in a.route(0, 19))
+    assert all(link.transfer_pps == 0.0 for link in b.links.values())
     assert a.path_delay_s(0, 19) > b.path_delay_s(0, 19)
 
     small = default_topology(TopologySpec(micro_count=4, core_count=2))
@@ -218,24 +228,6 @@ def test_route_table_is_shared_per_topology_shape():
     shape = tuple((n, tuple(small.adj[n])) for n in sorted(small.adj))
     assert small._routes == infrastructure._all_pairs_routes.__wrapped__(shape)
     assert small.route(0, 3) == ((0, 4), (4, 5), (3, 5))
-
-
-
-def test_link_paths_are_per_topology_and_filled_on_first_use():
-    a, b = default_topology(), default_topology()
-    assert a._routes is b._routes and a._paths == {} == b._paths
-    for topo in (a, b):
-        topo.set_background_load(0.3)
-    fast = default_catalog()[3]
-    src, dst = Machine(0, 0, fast), Machine(1, 5, fast)
-    b.path_delay_s(0, 5)  # b meets the pair first
-    a.start_transfer(src, dst, 100.0)
-    for link in b.links.values():
-        assert link.transfer_pps == 0.0
-    path = a._path(0, 5)
-    assert len(path) == 3
-    assert all(link is a.links[key] for key, link in zip(a.route(0, 5), path))
-    assert all(link.transfer_pps > 0.0 for link in path)
 
 
 def transfer_topology():
@@ -259,12 +251,11 @@ def test_transfer_across_nodes_waits_out_its_route_and_loads_it():
     route = topo.route(0, 5)
     assert len(route) == 3
     expected = 100.0 / 56.25 + 1000.0 * topo.path_delay_s(0, 5)
-    delay_ms, (path, rate_pps) = topo.start_transfer(a, far, 100.0)
+    delay_ms, transfer = topo.start_transfer(a, far, 100.0)
     assert delay_ms == expected
-    # the topology's own Links along the route, for end_transfer to walk
-    assert len(path) == 3
-    assert all(link is topo.links[key] for key, link in zip(route, path))
-    assert rate_pps == topo.line_rate_pps(56.25)
+    # the route's link keys, for end_transfer to walk through topo.links
+    rate_pps = topo.line_rate_pps(56.25)
+    assert transfer == (route, rate_pps)
     for key, link in topo.links.items():
         assert link.transfer_pps == (rate_pps if key in route else 0.0)
 

@@ -311,6 +311,14 @@ CORRUPTIONS = {
 }
 
 
+def test_report_of_a_run_that_lost_a_request_raises():
+    sim = finished_run()
+    report(sim)
+    add(sim, "completed", -1)
+    with pytest.raises(AssertionError, match="requests lost"):
+        report(sim)
+
+
 def test_the_run_to_corrupt_passes_and_has_each_feature_a_corruption_needs():
     sim = finished_run()
     validate_run(sim)

@@ -43,6 +43,8 @@ def test_weight_examples():
     mid = entry(0, 3, 3, enqueue=100.0, dependents=2)
     assert compute_weight(mid, 100.0, params) == 2.0
     assert compute_weight(mid, 200.0, params) == pytest.approx(3.0)
+    with pytest.raises(ValueError, match="before the service was enqueued"):
+        compute_weight(mid, 99.5, params)
 
 
 def test_weight_monotone_in_wait_and_dependents():

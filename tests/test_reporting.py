@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,6 +255,17 @@ def test_cli_run_prints_the_one_report_sweep_rows(tmp_path, capsys):
             assert cli_main([command, "--scenario", path]) == 0, command
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1], count
+
+
+def test_python_m_cli_exits_with_mains_status(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    bad = write_scenario(tmp_path, {"workload": {"policy": "bogus"}}, "bad.json")
+    for path, code in ((str(root / "demos" / "example_scenario.json"), 0), (bad, 2)):
+        result = subprocess.run(
+            [sys.executable, "-m", "sfcsched.cli", "validate", "--scenario", path],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == code, result.stderr
 
 
 def test_cli_validate_exit_codes(tmp_path, capsys):
