@@ -96,8 +96,9 @@ class ServiceChain:
 def canonical_sfcs():
     """The four evaluation chains covering service ids 1..20.
 
-    Chain 1 forks after service 3; chain 2 joins 7 and 8 into 9; chains 3
-    and 4 partition the remaining ids with one fork each.
+    Chain 1 forks after service 3; chain 2 joins 7 and 8 into 9; chain 3
+    forks after service 12; chain 4 forks after service 15, joins 16 and
+    17 into 18, and forks again after 18.
     """
     return [
         ServiceChain(1, {1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (3, 5)}),
@@ -108,7 +109,7 @@ def canonical_sfcs():
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserRequest:
     """One arriving demand for a chain, with its tolerated delay and cost."""
 

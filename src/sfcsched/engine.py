@@ -60,12 +60,15 @@ class Placement:
 @dataclass(slots=True)
 class _RequestState:
     request: object
-    unfinished_preds: dict     # service_id -> predecessors not yet finished
+    # service_id -> predecessors not yet finished; None once the request
+    # completes or is dropped
+    unfinished_preds: dict
     remaining: int             # services not yet finished
     drop_at: float             # the request expires at any now >= drop_at
     dropped: bool = False
     completed_ms: float = None
-    placed: dict = field(default_factory=dict)  # service_id -> Machine
+    # service_id -> Machine; None once the request completes or is dropped
+    placed: dict = field(default_factory=dict)
 
 
 def _drop_time(arrival_ms, sla_ms):
@@ -217,6 +220,7 @@ class SimulationRun:
             if state.remaining == 0:
                 state.completed_ms = self.now
                 self.completed += 1
+                state.placed = state.unfinished_preds = None
             else:
                 chain = self.chains[state.request.chain_id]
                 for succ in ready_services(chain, service_id,
@@ -406,6 +410,7 @@ class SimulationRun:
     def _drop(self, state):
         state.dropped = True
         self.dropped += 1
+        state.placed = state.unfinished_preds = None
 
 
 def run(scenario: Scenario) -> MetricsReport:

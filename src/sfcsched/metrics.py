@@ -10,7 +10,7 @@ from .greedy import GREEDY_POLICIES
 from .infrastructure import link_delay
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     request_id: int
     chain_id: int

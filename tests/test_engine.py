@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import heapq
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +16,7 @@ from sfcsched.fws import LabeledService, WeightParams, select_machine_fws
 from sfcsched.greedy import GREEDY_POLICIES, greedy_select_machine
 from sfcsched.infrastructure import Machine, Topology, VmType, default_catalog
 from sfcsched.metrics import validate_run
-from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec
+from sfcsched.scenario import POLICY_NAMES, Scenario, TopologySpec, sample_service_defs
 
 
 def single_service_scenario(policy="fws"):
@@ -585,6 +588,65 @@ def test_simulation_run_has_fewer_than_30_instance_attributes():
         "a 30th instance attribute slows every `self.` access on CPython 3.11: "
         "one dummy attribute cost about 6% on sweep cells; keep new state "
         "inside an existing attribute")
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_finished_or_dropped_request_keeps_no_run_bookkeeping(policy):
+    # a burst past saturation on one slot per node: chain 1's requests
+    # complete or expire in a pass; chain 2's second service fits no VM
+    # type, so its requests wait with one service placed until quiescence
+    chains = [ServiceChain(1, {1, 2}, {(1, 2)}), ServiceChain(2, {3, 4}, {(3, 4)})]
+    defs = {sid: MicroServiceDef(sid, 40.0, 10.0, 1.0, 1) for sid in (1, 2, 3)}
+    defs[4] = MicroServiceDef(4, 40.0, 10.0, 64.0, 32)
+    requests = [UserRequest(k, 1, 5.0 * k, 600.0, 10.0) for k in range(20)]
+    requests += [UserRequest(20 + k, 2, 5.0 * k, 1e9, 10.0) for k in range(3)]
+    sc = Scenario(policy=policy, chains=chains, request_count=len(requests),
+                  topology_spec=TopologySpec(micro_count=1, core_count=1,
+                                             micro_slots=1, core_slots=1))
+    sim = SimulationRun(sc, requests=requests, service_defs=defs)
+    sim.execute()
+    validate_run(sim)
+    assert sim.completed + sim.dropped == sim.arrived == len(requests)
+    states = [sim.states[k] for k in range(20)]
+    assert any(s.completed_ms is not None for s in states)
+    assert any(s.dropped and s.drop_at <= sim.now for s in states)
+    assert all(sim.states[k].dropped and sim.now < sim.states[k].drop_at
+               for k in range(20, 23))
+    assert all(s.placed is None and s.unfinished_preds is None
+               for s in sim.states.values())
+
+
+def test_a_finished_run_retains_under_2500_bytes_per_request():
+    # the run and its report stay referenced; the service definitions exist
+    # before tracing starts, so only what the run builds is counted
+    defs = sample_service_defs(Scenario(rng_seed=7))
+    tracemalloc.start()
+    try:
+        sc = Scenario(policy="lfff", request_count=1000, arrival_window_s=30.0,
+                      rng_seed=1)
+        sim = SimulationRun(sc, service_defs=defs)
+        report = sim.execute()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.per_request) == len(sim.states) == 1000
+    assert retained / 1000 < 2500, f"{retained / 1000:.0f} bytes per request"
+
+
+def test_per_request_records_have_no_instance_dict():
+    request = UserRequest(0, 1, 0.0, 450.0, 0.3)
+    sim = SimulationRun(Scenario(request_count=1), requests=[request])
+    report = sim.execute()
+    entry = LabeledService(0, 1, 1, 0.0, 10.0, 0)
+    for record in (request, report.per_request[0], sim.states[0],
+                   sim.placements[0], entry):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        request.delay_sla_ms = 1.0
+    # __post_init__ still checks every request built
+    with pytest.raises(ValueError, match="SLA bounds"):
+        dataclasses.replace(request, delay_sla_ms=math.nan)
 
 
 def test_rerank_rejects_a_machine_not_filed_at_its_rank():
