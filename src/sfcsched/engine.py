@@ -21,6 +21,7 @@ load follow `Topology.start_transfer`.
 import bisect
 import heapq
 import math
+import types
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -39,6 +40,7 @@ EVENT_START = 3
 EVENT_ARRIVAL = 4  # never in the heap: the next request in arrival order
 _RANK = attrgetter("rank")  # the key `ranked` is ordered by
 _KEY = attrgetter("key")  # the key `ready` is ordered by
+_NO_TRANSFERS = types.MappingProxyType({})  # shared by placements with no transfer
 
 
 @dataclass(slots=True)
@@ -53,7 +55,8 @@ class Placement:
     dispatch_ms: float
     boot_wait_ms: float
     transfer_ms: float
-    # per-predecessor inbound transfer delays, {pred_service_id: ms}
+    # per-predecessor inbound transfer delays, {pred_service_id: ms}; the
+    # engine gives every placement with none the read-only `_NO_TRANSFERS`
     transfers_in: dict = field(default_factory=dict)
 
 
@@ -401,7 +404,7 @@ class SimulationRun:
         finish = start + entry.exec_time_ms
         self.placements.append(Placement(
             entry.instance_id, entry.service_id, machine.machine_id, start,
-            finish, t, boot_ms, transfer_ms, transfers_in))
+            finish, t, boot_ms, transfer_ms, transfers_in or _NO_TRANSFERS))
         state.placed[entry.service_id] = machine
         self._push(start, EVENT_START, None)
         self._push(finish, EVENT_FINISH,

@@ -1,4 +1,10 @@
-"""Exception types shared across the simulator, and the field checks."""
+"""Exception types shared across the simulator, and the field checks.
+
+An argument outside a call's domain raises ValueError (ValidationError, with
+the dotted path, for a scenario field); a lookup of an id that a table does
+not hold raises KeyError; a broken engine invariant raises AssertionError.
+The classes below are the ones the CLI maps to its exit statuses.
+"""
 
 import sys
 from dataclasses import MISSING, field, fields
@@ -6,38 +12,6 @@ from dataclasses import MISSING, field, fields
 
 class SfcSchedError(Exception):
     """Base class for all simulator errors."""
-
-
-class CycleDetected(SfcSchedError):
-    """Chain edges contain a cycle."""
-
-
-class DanglingEdge(SfcSchedError):
-    """Chain edge references a node that is not part of the chain."""
-
-
-class UnknownService(SfcSchedError):
-    """Service id not present in the chain."""
-
-
-class UnstableQueue(SfcSchedError):
-    """Link arrival rate at or above the service rate."""
-
-
-class NonPositiveRate(SfcSchedError):
-    """Link service rate must be positive."""
-
-
-class NoPath(SfcSchedError):
-    """No route between the requested cloud nodes."""
-
-
-class NodeFull(SfcSchedError):
-    """Cloud node has no free VM slot."""
-
-
-class NotBuffered(SfcSchedError):
-    """Attempt to release a service the machine does not host."""
 
 
 class IoError(SfcSchedError):

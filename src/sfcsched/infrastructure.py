@@ -10,9 +10,8 @@ import functools
 import sys
 from dataclasses import dataclass, field
 
-from .errors import (NONNEGATIVE, POSITIVE, NodeFull, NonPositiveRate, NoPath,
-                     NotBuffered, UnstableQueue, ValidationError, check_fields,
-                     checked, int_in, is_number)
+from .errors import (NONNEGATIVE, POSITIVE, ValidationError, check_fields, checked,
+                     int_in, is_number)
 
 MICRO = "micro"
 CORE = "core"
@@ -82,11 +81,11 @@ def nearest_vm_type(demand_memory_gb, demand_cores, catalog):
 def link_delay(lambda_pps, mu_pps) -> float:
     """M/D/1 sojourn time in seconds for arrival rate lambda and service rate mu."""
     if mu_pps <= 0:
-        raise NonPositiveRate(f"mu must be positive, got {mu_pps}")
+        raise ValueError(f"mu must be positive, got {mu_pps}")
     if lambda_pps < 0:
         raise ValueError(f"negative arrival rate {lambda_pps}")
     if lambda_pps >= mu_pps:
-        raise UnstableQueue(f"lambda {lambda_pps} >= mu {mu_pps}")
+        raise ValueError(f"lambda {lambda_pps} >= mu {mu_pps}")
     rho = lambda_pps / mu_pps
     return (1.0 / (2.0 * mu_pps)) * (2.0 - rho) / (1.0 - rho)
 
@@ -153,7 +152,7 @@ class Machine:
     def buffer_service(self, key, memory_gb, cores):
         """Release a finished service's compute back to the machine."""
         if key not in self.hosted:
-            raise NotBuffered(f"{key} not hosted on machine {self.machine_id}")
+            raise ValueError(f"{key} not hosted on machine {self.machine_id}")
         self.hosted.remove(key)
         self.used_memory_gb = max(0.0, self.used_memory_gb - memory_gb)
         self.used_cores -= cores
@@ -211,10 +210,7 @@ class Topology:
         return self._open
 
     def route(self, src, dst):
-        route = self._routes.get((src, dst))  # None for unknown or disconnected nodes
-        if route is None:
-            raise NoPath(f"no route between {src} and {dst}")
-        return route
+        return self._routes[src, dst]  # KeyError for unknown or disconnected nodes
 
     def hops(self, src, dst):
         return len(self.route(src, dst))
@@ -312,7 +308,7 @@ def provision_choice(demand_memory_gb, demand_cores, near_nodes, topology, catal
 def provision_machine(node: CloudNode, vm_type: VmType, machine_id,
                       active_at_ms=0.0) -> Machine:
     if not node.has_free_slot():
-        raise NodeFull(f"node {node.node_id} has no free VM slot")
+        raise ValueError(f"node {node.node_id} has no free VM slot")
     node.used_slots += 1
     return Machine(machine_id, node.node_id, vm_type, active_at_ms=active_at_ms)
 

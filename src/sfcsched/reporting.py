@@ -12,9 +12,8 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 from .chains import ServiceChain
 from .engine import run
-from .errors import (POSITIVE, CycleDetected, DanglingEdge, IoError, ParseError,
-                     ValidationError, check_fields, checked, int_in, is_int,
-                     is_number, list_of, section_keys)
+from .errors import (POSITIVE, IoError, ParseError, ValidationError, check_fields,
+                     checked, int_in, is_int, is_number, list_of, section_keys)
 from .fws import WeightParams
 from .infrastructure import TopologySpec, VmType
 from .metrics import METRIC_NAMES
@@ -144,7 +143,7 @@ def scenario_from_dict(raw) -> Scenario:
             try:
                 kw["chains"].append(ServiceChain(entry.chain_id, set(entry.nodes),
                                                  {tuple(e) for e in entry.edges}))
-            except (CycleDetected, DanglingEdge) as exc:
+            except ValueError as exc:
                 raise ValidationError(f"{path}.edges", str(exc)) from exc
 
     kw.update(_section(raw.get("workload", {}), "workload", _WORKLOAD_KEYS))

@@ -634,6 +634,23 @@ def test_a_finished_run_retains_under_2500_bytes_per_request():
     assert retained / 1000 < 2500, f"{retained / 1000:.0f} bytes per request"
 
 
+def test_placements_with_no_crossing_transfer_share_one_read_only_mapping():
+    sim = SimulationRun(Scenario(policy="lfff", request_count=200, rng_seed=1))
+    sim.execute()
+    machine_of = {(p.instance_id, p.service_id): p.machine_id for p in sim.placements}
+    shared = 0
+    for p in sim.placements:
+        chain = sim.chains[sim.states[p.instance_id].request.chain_id]
+        if all(machine_of[p.instance_id, pred] == p.machine_id
+               for pred in chain.predecessors(p.service_id)):
+            assert p.transfers_in is engine._NO_TRANSFERS, (p.instance_id, p.service_id)
+            shared += 1
+    assert 0 < shared < len(sim.placements)
+    with pytest.raises(TypeError):
+        engine._NO_TRANSFERS[1] = 0.0
+    assert not engine._NO_TRANSFERS
+
+
 def test_per_request_records_have_no_instance_dict():
     request = UserRequest(0, 1, 0.0, 450.0, 0.3)
     sim = SimulationRun(Scenario(request_count=1), requests=[request])

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfcsched import infrastructure
-from sfcsched.errors import (NodeFull, NonPositiveRate, NoPath, NotBuffered,
-                             UnstableQueue, ValidationError)
+from sfcsched.chains import ServiceChain
+from sfcsched.errors import ValidationError
 from sfcsched.infrastructure import (CloudNode, Link, Machine, Topology,
                                      TopologySpec, VmType, default_catalog,
                                      default_topology, link_delay,
@@ -37,13 +37,13 @@ def test_link_delay_high_load():
 
 
 def test_link_delay_unstable_and_bad_rates():
-    with pytest.raises(UnstableQueue):
+    with pytest.raises(ValueError, match="lambda 100.0 >= mu 100.0"):
         link_delay(100.0, 100.0)
-    with pytest.raises(UnstableQueue):
+    with pytest.raises(ValueError, match="lambda 150.0 >= mu 100.0"):
         link_delay(150.0, 100.0)
-    with pytest.raises(NonPositiveRate):
+    with pytest.raises(ValueError, match="mu must be positive, got 0.0"):
         link_delay(0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative arrival rate -1.0"):
         link_delay(-1.0, 100.0)
 
 
@@ -59,11 +59,11 @@ def test_link_delay_monotone_in_load_and_rate():
 
 
 def delay_outcome(fn, *args):
-    """The exact bits of fn's delay, or the type of what it raised."""
+    """The exact bits of fn's delay, or the type and message of what it raised."""
     try:
         return fn(*args).hex()
     except Exception as exc:  # the outcome under test
-        return type(exc)
+        return type(exc), str(exc)
 
 
 RATES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 3125.0, 12500.0, -1.0)),
@@ -98,7 +98,7 @@ def test_link_delay_s_equals_the_uncached_clamped_formula(mu, background, transf
         lam = link.background_pps + link.transfer_pps
         expect = delay_outcome(link_delay, min(lam, rho_max * link.mu_pps), link.mu_pps)
         if link.mu_pps <= 0:
-            assert expect is NonPositiveRate
+            assert expect == (ValueError, f"mu must be positive, got {link.mu_pps}")
         for _ in range(2):  # a repeated call gives the same outcome
             assert delay_outcome(link.delay_s, rho_max) == expect
 
@@ -109,7 +109,7 @@ def test_link_delay_s_raises_on_every_call_for_a_nonpositive_rate():
     for mu in (0.0, -0.0, -3125.0):
         link.mu_pps = mu
         for _ in range(3):
-            with pytest.raises(NonPositiveRate):
+            with pytest.raises(ValueError, match="mu must be positive"):
                 link.delay_s()
     link.mu_pps = 3125.0
     assert link.delay_s() == link_delay(0.0, 3125.0)
@@ -141,9 +141,9 @@ def test_path_delay_sums_line():
 def test_path_delay_no_route():
     nodes = [CloudNode(0, "micro", 1), CloudNode(1, "micro", 1), CloudNode(2, "micro", 1)]
     topo = Topology(nodes, [Link((0, 1), 10.0)])
-    with pytest.raises(NoPath):
+    with pytest.raises(KeyError, match=r"\(0, 2\)"):
         topo.path_delay_s(0, 2)
-    with pytest.raises(NoPath):
+    with pytest.raises(KeyError, match=r"\(0, 7\)"):
         topo.route(0, 7)
 
 
@@ -302,7 +302,7 @@ def test_provision_takes_a_node_slot():
     assert (machine.node_id, machine.vm_type, machine.active_at_ms) == (3, vm, 50.0)
     assert machine.utilization() == 0.0 and not machine.hosted
     assert not node.has_free_slot()
-    with pytest.raises(NodeFull):
+    with pytest.raises(ValueError, match="node 3 has no free VM slot"):
         provision_machine(node, vm, 1)
 
 
@@ -327,9 +327,9 @@ def test_buffer_service_releases_compute():
     assert m.hosted == {(7, 4)}
     assert (m.used_memory_gb, m.used_cores) == (1.5, 1)
     assert m.fits(2.5, 1)
-    with pytest.raises(NotBuffered):
+    with pytest.raises(ValueError, match=r"\(7, 3\) not hosted on machine 0"):
         m.buffer_service((7, 3), 2.0, 1)  # already released
-    with pytest.raises(NotBuffered):
+    with pytest.raises(ValueError, match=r"\(0, 0\) not hosted on machine 0"):
         m.buffer_service((0, 0), 1.0, 1)  # never hosted
     m.buffer_service((7, 4), 1.5, 1)
     assert not m.hosted and m.utilization() == 0.0
@@ -356,3 +356,42 @@ def test_machine_usage_never_exceeds_capacity_randomized():
         assert m.used_cores <= vm.cores
         assert 0.0 <= m.utilization() <= 1.0 + 1e-9
         assert m.hosted == set(live)
+
+
+# A bad argument at each site that once raised its own exception class: the
+# one rule (see sfcsched.errors) is ValueError for an argument outside a
+# call's domain and KeyError for an id that a table does not hold.
+BAD_ARGUMENTS = {
+    "cyclic chain": (lambda: ServiceChain(1, {1, 2}, {(1, 2), (2, 1)}),
+                     ValueError, "chain 1 edges contain a cycle"),
+    "dangling edge": (lambda: ServiceChain(1, {1, 2}, {(1, 3)}),
+                      ValueError, r"edge \(1, 3\) references unknown node"),
+    "transitive dependents of an unknown service": (
+        lambda: ServiceChain(1, {1, 2}, {(1, 2)}).transitive_dependents(99),
+        KeyError, "99"),
+    "immediate dependents of an unknown service": (
+        lambda: ServiceChain(1, {1, 2}, {(1, 2)}).immediate_dependents(99),
+        KeyError, "99"),
+    "unstable link": (lambda: link_delay(100.0, 100.0),
+                      ValueError, "lambda 100.0 >= mu 100.0"),
+    "nonpositive link rate": (lambda: link_delay(0.0, -1.0),
+                              ValueError, "mu must be positive, got -1.0"),
+    "disconnected route": (lambda: Topology([CloudNode(0, "micro", 1),
+                                             CloudNode(1, "micro", 1)], []).route(0, 1),
+                           KeyError, r"\(0, 1\)"),
+    "unknown node route": (lambda: line_topology().route(0, 7), KeyError, r"\(0, 7\)"),
+    "full node": (lambda: provision_machine(CloudNode(3, "micro", 1, used_slots=1),
+                                            default_catalog()[0], 0),
+                  ValueError, "node 3 has no free VM slot"),
+    "release of an unhosted service": (
+        lambda: Machine(4, 0, default_catalog()[0]).buffer_service((0, 0), 1.0, 1),
+        ValueError, r"\(0, 0\) not hosted on machine 4"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_a_bad_argument_raises_value_error_and_an_unknown_id_key_error(case):
+    call, error, message = BAD_ARGUMENTS[case]
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert type(raised.value) is error

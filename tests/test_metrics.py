@@ -266,8 +266,9 @@ CORRUPTIONS = {
     "boot wait": (lambda sim: setattr(first(sim.placements, lambda p: p.boot_wait_ms > 0),
                                       "boot_wait_ms", 0.0), "boot wait 0.0 != replayed"),
     "transfer delay": (halve_a_transfer, "replay gives"),
-    "transfer set": (lambda sim: sim.placements[colocated_successor(sim)[1]].transfers_in
-                     .update({0: 0.0}), r"transfers from \[0\], not \[\]"),
+    "transfer set": (lambda sim: setattr(sim.placements[colocated_successor(sim)[1]],
+                                         "transfers_in", {0: 0.0}),
+                     r"transfers from \[0\], not \[\]"),
     "transfer maximum": (lambda sim: add(transferring(sim), "transfer_ms", 1.0),
                          "transfer wait is not its slowest transfer"),
     "start identity": (delay_start, "start breakdown mismatch"),

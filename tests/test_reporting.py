@@ -320,6 +320,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
                   ({"chain_id": 1, "nodes": [1], "edges": [[1]]}, "chains[0].edges"),
                   ({"chain_id": 1, "nodes": [1, 2], "edges": [[1, 2], [2, 1]]},
                    "chains[0].edges"),
+                  ({"chain_id": 1, "nodes": [1], "edges": [[1, 2]]}, "chains[0].edges"),
                   (5, "chains[0]")]]
     cases += [({"catalog": [dict(GOOD_VM, **vm)]}, field, ("validate", "run"))
               for vm, field in [
