@@ -8,7 +8,7 @@ each field's rule sits in its metadata (see ``errors.check_fields``).
 """
 
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .chains import ServiceChain
 from .engine import run
@@ -171,6 +171,9 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, var="demand") -> list:
     """One row per (policy, sweep point, metric), averaged over repetitions.
 
     Repetition k runs with seed ``rng_seed + k`` so means are reproducible.
+    The runs of one repetition and point go back to back, so its policies
+    share one workload draw (see ``scenario.generate_workload``); the rows
+    come out by policy, then point.
     """
     sweep.validate(scenario)
     # the scenario fields one point of each sweep variable sets
@@ -179,15 +182,24 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, var="demand") -> list:
                                        "request_count": sweep.load_demand_count}}
     if var not in point_fields:
         raise ValidationError("sweep.var", f"unknown sweep variable {var!r}")
+    points = getattr(sweep, f"{var}_points")
+    # keyed by (policy index, point), in row order: a policy may repeat
+    bases = {(i, point): scenario.with_overrides(
+                 policy=policy, arrival_window_s=sweep.demand_window_s,
+                 **point_fields[var](point))
+             for i, policy in enumerate(sweep.policies) for point in points}
+    reports = {key: [] for key in bases}
+    for k in range(sweep.repetitions):
+        for point in points:
+            for i in range(len(sweep.policies)):
+                # the totals only: held across the sweep, the per-request
+                # records would grow its peak memory with every cell
+                reports[i, point].append(replace(
+                    run(bases[i, point].with_overrides(rng_seed=scenario.rng_seed + k)),
+                    per_request=[]))
     rows = []
-    for policy in sweep.policies:
-        for point in getattr(sweep, f"{var}_points"):
-            base = scenario.with_overrides(
-                policy=policy, arrival_window_s=sweep.demand_window_s,
-                **point_fields[var](point))
-            reports = [run(base.with_overrides(rng_seed=scenario.rng_seed + k))
-                       for k in range(sweep.repetitions)]
-            rows += report_rows(reports, var, point)
+    for (_, point), group in reports.items():
+        rows += report_rows(group, var, point)
     return rows
 
 

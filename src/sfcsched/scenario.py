@@ -3,9 +3,12 @@
 A scenario bundles everything one simulation run needs: topology and catalog
 specs, the chain set, workload parameters, SLA ranges and the policy to run.
 All randomness is derived from ``rng_seed``, so two runs of the same scenario
-are identical.
+are identical.  The last seeded draw of requests and of service definitions
+is reused while the fields it reads are unchanged: each caller gets a fresh
+list or dict over the same frozen records.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -104,39 +107,61 @@ class Scenario:
 
 def sample_service_defs(scenario: Scenario) -> dict:
     """One MicroServiceDef per service id, fixed per scenario seed and shared
-    by every request of the run."""
-    rng = random.Random(f"{scenario.rng_seed}:services")
-    defs = {}
-    all_ids = sorted(set().union(*[c.nodes for c in scenario.chains]))
-    for sid in all_ids:
-        exec_time_ms = rng.uniform(*scenario.exec_time_range_ms)
-        data_out_kb = rng.uniform(*scenario.data_out_range_kb)
+    by every request of the run: a fresh dict over the last draw's defs when
+    the fields the draw reads are unchanged (see ``_draw_service_defs``)."""
+    return dict(_draw_service_defs(
+        f"{scenario.rng_seed}:services",
+        tuple(sorted(set().union(*[c.nodes for c in scenario.chains]))),
+        tuple(scenario.exec_time_range_ms), tuple(scenario.data_out_range_kb),
+        tuple(scenario.service_memory_range_gb), tuple(scenario.service_cores_choices)))
+
+
+def generate_workload(scenario: Scenario) -> list:
+    """Poisson arrivals: i.i.d. exponential gaps, uniform chain choice and SLAs.
+    A fresh list over the last draw's requests when the fields the draw reads
+    are unchanged (see ``_draw_workload``)."""
+    return list(_draw_workload(
+        f"{scenario.rng_seed}:workload", scenario.effective_rate_rps(),
+        scenario.request_count, tuple(sorted(c.chain_id for c in scenario.chains)),
+        tuple(scenario.sla_delay_range_ms), tuple(scenario.sla_cost_range)))
+
+
+# The policies of one seed run on the same draws (the sweep runs them back to
+# back), so the last draw of each kind is kept.  Each is keyed by exactly the
+# values it reads and returns a tuple of frozen records: no caller can alter it.
+@functools.lru_cache(maxsize=1)
+def _draw_service_defs(seed, service_ids, exec_time_range_ms, data_out_range_kb,
+                       service_memory_range_gb, service_cores_choices):
+    rng = random.Random(seed)
+    defs = []
+    for sid in service_ids:
+        exec_time_ms = rng.uniform(*exec_time_range_ms)
+        data_out_kb = rng.uniform(*data_out_range_kb)
         # Discarded: a per-service capacity was once drawn here, and
         # random.uniform consumes exactly one random(), so this keeps every
         # later draw, and with it every seeded schedule, as it was.
         rng.random()
-        defs[sid] = MicroServiceDef(
+        defs.append((sid, MicroServiceDef(
             id=sid, exec_time_ms=exec_time_ms, data_out_kb=data_out_kb,
-            memory_gb=rng.uniform(*scenario.service_memory_range_gb),
-            cores=rng.choice(scenario.service_cores_choices),
-        )
-    return defs
+            memory_gb=rng.uniform(*service_memory_range_gb),
+            cores=rng.choice(service_cores_choices),
+        )))
+    return tuple(defs)
 
 
-def generate_workload(scenario: Scenario) -> list:
-    """Poisson arrivals: i.i.d. exponential gaps, uniform chain choice and SLAs."""
-    rng = random.Random(f"{scenario.rng_seed}:workload")
-    rate = scenario.effective_rate_rps()
-    chain_ids = sorted(c.chain_id for c in scenario.chains)
+@functools.lru_cache(maxsize=1)
+def _draw_workload(seed, rate, request_count, chain_ids, sla_delay_range_ms,
+                   sla_cost_range):
+    rng = random.Random(seed)
     requests = []
     t_ms = 0.0
-    for k in range(scenario.request_count):
+    for k in range(request_count):
         t_ms += rng.expovariate(rate) * 1000.0
         requests.append(UserRequest(
             request_id=k,
             chain_id=rng.choice(chain_ids),
             arrival_time_ms=t_ms,
-            delay_sla_ms=rng.uniform(*scenario.sla_delay_range_ms),
-            cost_sla=rng.uniform(*scenario.sla_cost_range),
+            delay_sla_ms=rng.uniform(*sla_delay_range_ms),
+            cost_sla=rng.uniform(*sla_cost_range),
         ))
-    return requests
+    return tuple(requests)

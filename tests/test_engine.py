@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcsched import engine
+from sfcsched import engine, scenario
 from sfcsched.chains import MicroServiceDef, ServiceChain, UserRequest, canonical_sfcs
 from sfcsched.engine import SimulationRun, run
 from sfcsched.fws import LabeledService, WeightParams, select_machine_fws
@@ -618,7 +618,10 @@ def test_a_finished_or_dropped_request_keeps_no_run_bookkeeping(policy):
 
 def test_a_finished_run_retains_under_2500_bytes_per_request():
     # the run and its report stay referenced; the service definitions exist
-    # before tracing starts, so only what the run builds is counted
+    # before tracing starts, so only what the run builds is counted.  The
+    # last workload draw is dropped first: kept from an earlier test with the
+    # same draw, its requests would be reused untraced.
+    scenario._draw_workload.cache_clear()
     defs = sample_service_defs(Scenario(rng_seed=7))
     tracemalloc.start()
     try:

@@ -144,6 +144,41 @@ def test_sweep_means_equal_individual_runs(var):
         assert row.reps == 3 and row.sweep_var == var
 
 
+def sweep_by_policy_point_repetition(scenario, sweep, var):
+    """The sweep's rows as a policy -> point -> repetition loop makes them:
+    the oracle for `run_sweep`, which runs the cells in another order."""
+    point_fields = {"demand": lambda p: {"request_count": int(p)},
+                    "load": lambda p: {"background_load_fraction": float(p),
+                                       "request_count": sweep.load_demand_count}}
+    rows = []
+    for policy in sweep.policies:
+        for point in getattr(sweep, f"{var}_points"):
+            base = scenario.with_overrides(policy=policy,
+                                           arrival_window_s=sweep.demand_window_s,
+                                           **point_fields[var](point))
+            reports = [run(base.with_overrides(rng_seed=scenario.rng_seed + k))
+                       for k in range(sweep.repetitions)]
+            rows += report_rows(reports, var, point)
+    return rows
+
+
+@pytest.mark.parametrize("var", ["demand", "load"])
+def test_sweep_rows_equal_the_policy_point_repetition_loop_in_order(var, monkeypatch):
+    # a policy listed twice gets its rows twice, as in the loop
+    sc = Scenario(rng_seed=5)
+    sweep = SweepSpec(demand_points=(2, 4), load_points=(0.2, 0.5),
+                      policies=("mfdt", "fws", "lfff", "fws"), repetitions=3,
+                      demand_window_s=0.05, load_demand_count=4)
+    expected = sweep_by_policy_point_repetition(sc, sweep, var)
+    cells = []
+    monkeypatch.setattr(reporting, "run",
+                        lambda scenario: cells.append(scenario) or run(scenario))
+    rows = run_sweep(sc, sweep, var=var)
+    assert rows == expected
+    assert len(rows) == 4 * 2 * len(METRIC_NAMES)
+    assert len(cells) == 4 * 2 * 3
+
+
 def test_totals_are_added_left_to_right_not_by_sum(monkeypatch):
     # sum() rounds floats differently since Python 3.12; the run's metrics,
     # the sweep means and the provisioning node choice must not change with it

@@ -4,6 +4,7 @@ import pytest
 
 from sfcsched.chains import ServiceChain
 from sfcsched.errors import ValidationError
+from sfcsched.fws import WeightParams
 from sfcsched.scenario import (MAX_REQUEST_COUNT, Scenario, generate_workload,
                                sample_service_defs)
 
@@ -56,6 +57,62 @@ def test_service_defs_within_ranges_and_stable():
     # service defs do not depend on the demand count or policy
     assert sample_service_defs(sc.with_overrides(request_count=9000,
                                                  policy="mfdt")) == defs
+
+
+def test_a_repeated_draw_returns_fresh_containers_over_the_same_records():
+    sc = Scenario(request_count=50, rng_seed=11)
+    for draw, records in ((generate_workload, list), (sample_service_defs, dict.values)):
+        first, again = draw(sc), draw(sc)
+        assert again == first and again is not first
+        assert all(a is b for a, b in zip(records(first), records(again), strict=True))
+        # a caller's edit stays in its own container
+        expected = draw(sc)
+        first.clear()
+        assert draw(sc) == expected
+
+
+# A draw reruns when a field it reads changes, and is reused when any other does.
+_CHAINS_OF_OTHER_IDS = [ServiceChain(1, {1, 2}, {(1, 2)}),
+                        ServiceChain(5, {3}, set())]
+_CHAINS_OF_THE_SAME_IDS = [ServiceChain(c, {c}, set()) for c in (1, 2, 3, 4)]
+_BOTH_READ = [("rng_seed", 12), ("chains", _CHAINS_OF_OTHER_IDS)]
+_WORKLOAD_ONLY = [("request_count", 51), ("arrival_rate_rps", 50.0),
+                  ("arrival_window_s", 2.0), ("sla_delay_range_ms", (300.0, 700.0)),
+                  ("sla_cost_range", (0.05, 0.6))]
+_SERVICES_ONLY = [("exec_time_range_ms", (10.0, 90.0)),
+                  ("data_out_range_kb", (5.0, 25.0)),
+                  ("service_memory_range_gb", (0.5, 3.0)),
+                  ("service_cores_choices", (1, 2))]
+_NEITHER_READS = [("policy", "mfdt"), ("background_load_fraction", 0.5),
+                  ("weights", WeightParams(alpha_dep=2.0, dependents="immediate"))]
+
+
+def _shared(draw, field, value):
+    """For each record of the draw with ``field`` changed, whether it is the
+    record the unchanged draw returned."""
+    sc = Scenario(request_count=50, rng_seed=11)
+    records = list if draw is generate_workload else dict.values
+    before = list(records(draw(sc)))
+    after = list(records(draw(sc.with_overrides(**{field: value}))))
+    assert before and after
+    return [a is b for a, b in zip(before, after)]
+
+
+_RERUNS = ([(generate_workload, *fv) for fv in _BOTH_READ + _WORKLOAD_ONLY]
+           + [(sample_service_defs, *fv) for fv in _BOTH_READ + _SERVICES_ONLY])
+_REUSED = ([(generate_workload, *fv) for fv in _NEITHER_READS + _SERVICES_ONLY
+            + [("chains", _CHAINS_OF_THE_SAME_IDS)]]
+           + [(sample_service_defs, *fv) for fv in _NEITHER_READS + _WORKLOAD_ONLY])
+
+
+@pytest.mark.parametrize("draw,field,value", _RERUNS)
+def test_a_draw_reruns_when_a_field_it_reads_changes(draw, field, value):
+    assert not any(_shared(draw, field, value))
+
+
+@pytest.mark.parametrize("draw,field,value", _REUSED)
+def test_a_draw_is_reused_when_only_fields_it_does_not_read_change(draw, field, value):
+    assert all(_shared(draw, field, value))
 
 
 @pytest.mark.parametrize("field,value", [
