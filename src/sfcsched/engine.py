@@ -1,13 +1,14 @@
 """Discrete-event simulation of chain scheduling across the multi-cloud.
 
 One run owns all mutable state (event heap, machines, link loads, request
-progress) and executes on a single logical thread.  Boots, transfer ends,
-finishes and starts are events in one heap; the requests are read in
-arrival order beside it.  Event ordering at equal timestamps is fixed:
-boot < transfer < finish < start < arrival, then sequence number (list
-order for arrivals), so identical inputs replay identically.  A boot or a
-transfer end frees what a pass at its time may use and triggers no pass;
-a finish, a start and an arrival each trigger one.
+progress) and executes on a single logical thread.  Boots, transfer ends
+and finishes are events in one heap; the requests are read in arrival
+order beside it.  At equal timestamps the order is fixed: boot < transfer
+< finish < start pass < arrival, then sequence number (list order for
+arrivals), so identical inputs replay identically.  A boot or a transfer
+end frees what a pass at its time may use and triggers no pass; a finish
+and an arrival each trigger one.  A start frees nothing, so its time is
+kept in `_starts`, not the heap, and gets a pass only where one can walk.
 
 Timing model for one placed service:
 
@@ -36,8 +37,7 @@ from .scenario import Scenario, generate_workload, sample_service_defs
 EVENT_BOOT = 0
 EVENT_TRANSFER = 1
 EVENT_FINISH = 2
-EVENT_START = 3
-EVENT_ARRIVAL = 4  # never in the heap: the next request in arrival order
+EVENT_ARRIVAL = 3  # never in the heap: the next request in arrival order
 _RANK = attrgetter("rank")  # the key `ranked` is ordered by
 _KEY = attrgetter("key")  # the key `ready` is ordered by
 _NO_TRANSFERS = types.MappingProxyType({})  # shared by placements with no transfer
@@ -134,6 +134,7 @@ class SimulationRun:
         self.now = 0.0
         self._seq = 0
         self._events = []          # heap of (time_ms, kind, seq, payload)
+        self._starts = []          # pending start times, ascending; see execute
         self.machines = []
         self.placements = []
         self.ready = []            # LabeledService entries, filed under `key`
@@ -167,9 +168,28 @@ class SimulationRun:
         heapq.heappush(self._events, (time_ms, kind, self._seq, payload))
 
     def execute(self):
-        events, requests = self._events, self.requests
+        """Run to quiescence.  A pass before `_walk_at` returns at once, so
+        while `_walk_at` is finite the loop takes the first pending start at
+        or after it and `now`, and runs a pass there if that start sorts
+        before the next event: before the heap's head, not after the next
+        arrival.  The starts it passes over are dropped with it."""
+        events, requests, starts = self._events, self.requests, self._starts
+        inf = math.inf
         while True:
             i = self.arrived
+            walk_at = self._walk_at
+            if walk_at < inf and starts:
+                k = bisect.bisect_left(starts, walk_at if walk_at > self.now
+                                       else self.now)
+                if k < len(starts):
+                    time_ms = starts[k]
+                    if (not events or time_ms < events[0][0]) and (
+                            i == len(requests)
+                            or time_ms <= requests[i].arrival_time_ms):
+                        del starts[:k + 1]
+                        self.now = time_ms
+                        self._dispatch()
+                        continue
             # an arrival sorts after every event of its time
             if i < len(requests) and (
                     not events or requests[i].arrival_time_ms < events[0][0]):
@@ -184,9 +204,7 @@ class SimulationRun:
             if time_ms < self.now:
                 raise AssertionError("event dequeued out of time order")
             self.now = time_ms
-            if kind == EVENT_START:
-                self._dispatch()
-            elif kind == EVENT_FINISH:
+            if kind == EVENT_FINISH:
                 self._on_finish(*payload)
             elif kind == EVENT_ARRIVAL:
                 self._on_arrival(payload)
@@ -200,6 +218,7 @@ class SimulationRun:
             if not entry.state.dropped:
                 self._drop(entry.state)
         self.ready.clear()
+        starts.clear()
         return report(self)
 
     def _on_arrival(self, request):
@@ -406,9 +425,14 @@ class SimulationRun:
             entry.instance_id, entry.service_id, machine.machine_id, start,
             finish, t, boot_ms, transfer_ms, transfers_in or _NO_TRANSFERS))
         state.placed[entry.service_id] = machine
-        self._push(start, EVENT_START, None)
+        starts = self._starts
+        bisect.insort(starts, start)
         self._push(finish, EVENT_FINISH,
                    (entry.instance_id, entry.service_id, machine))
+        # starts that ran no pass stay listed; each start not yet past has
+        # its finish in the heap, so a longer list holds past starts
+        if len(starts) > len(self._events):
+            del starts[:bisect.bisect_left(starts, t)]
 
     def _drop(self, state):
         state.dropped = True

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import gc
 import heapq
@@ -164,14 +165,36 @@ def test_event_before_now_is_rejected():
     # falls before `now`, however slightly, is a bug and not rounding; the
     # check covers the heap's events and the arrivals alike
     late = math.nextafter(100.0, -math.inf)
-    for push in (lambda sim: sim._push(late, engine.EVENT_START, None),
-                 lambda sim: sim._push(late, engine.EVENT_TRANSFER, ((), 0.0)),
+    for push in (lambda sim: sim._push(late, engine.EVENT_TRANSFER, ((), 0.0)),
                  lambda sim: sim.requests.append(UserRequest(0, 1, late, 450.0, 0.3))):
         sim = SimulationRun(Scenario(request_count=0))
         sim.now = 100.0
         push(sim)
         with pytest.raises(AssertionError, match="out of time order"):
             sim.execute()
+
+
+@pytest.mark.parametrize("now, start, walk_at, passes", [
+    (100.0, math.nextafter(100.0, -math.inf), -math.inf, []),
+    (0.0, math.nextafter(10.0, -math.inf), 10.0, []),
+    (0.0, 10.0, 10.0, [10.0]),
+], ids=["below now", "below walk_at", "at exactly walk_at"])
+def test_a_pending_start_runs_a_pass_only_at_or_after_now_and_walk_at(
+        now, start, walk_at, passes):
+    # a start is a pass time, not an event: one before `now` is past and one
+    # before `_walk_at` would return at once, so neither runs a pass
+    sim = SimulationRun(Scenario(request_count=0))
+    sim.now, sim._walk_at = now, walk_at
+    sim._starts.append(start)
+    ran, dispatch = [], sim._dispatch
+
+    def counted():
+        ran.append(sim.now)
+        dispatch()
+
+    sim._dispatch = counted
+    sim.execute()
+    assert ran == passes and sim._starts == []
 
 
 def test_equal_time_events_run_boot_transfer_finish_start_arrival():
@@ -189,9 +212,11 @@ def test_equal_time_events_run_boot_transfer_finish_start_arrival():
         sim.completed += 1  # the report checks that no request is lost
 
     sim._on_arrival = arrival
-    # pushed in reverse rank order, with a start on either side of 10 ms
+    # every pass may walk, so each pending start gets one, as `Reference` does;
+    # two starts at 10 ms, and the heap's events pushed in reverse rank order
+    sim._walk_at = -math.inf
     for t in (10.0, 5.0, 20.0, 10.0):
-        sim._push(t, engine.EVENT_START, None)
+        bisect.insort(sim._starts, t)
     for t in (10.0, 5.0):
         sim._push(t, engine.EVENT_FINISH, ())
         sim._push(t, engine.EVENT_TRANSFER, ((), 0.0))
@@ -204,21 +229,41 @@ def test_equal_time_events_run_boot_transfer_finish_start_arrival():
 
 
 def test_every_event_in_the_heap_has_its_own_sequence_number():
-    # starts too: each event is pushed through `_push`, so none shares its
-    # (time, kind, seq) with another
+    # each event is pushed through `_push`, so none shares its (time, kind,
+    # seq) with another; starts are not events but pass times in `_starts`
     sim = SimulationRun(Scenario(request_count=200))
     dispatch, most = sim._dispatch, [0]
 
     def check():
         seqs = [seq for _, _, seq, _ in sim._events]
         assert len(set(seqs)) == len(seqs)
-        most[0] = max(most[0], sum(kind == engine.EVENT_START
-                                   for _, kind, _, _ in sim._events))
+        assert {kind for _, kind, _, _ in sim._events} <= {
+            engine.EVENT_BOOT, engine.EVENT_TRANSFER, engine.EVENT_FINISH}
+        most[0] = max(most[0], sum(start >= sim.now for start in sim._starts))
         dispatch()
 
     sim._dispatch = check
     sim.execute()
     assert most[0] > 1  # some pass saw several starts pending
+
+
+def test_pending_starts_stay_bounded_by_the_heap_and_end_empty():
+    # every pending start not yet past has its finish in the heap, so once
+    # the list outgrows the heap `_place` trims its past prefix; a start at
+    # `now` survives the trim, hence the one spare
+    sim = SimulationRun(Scenario(policy="lfff", request_count=1000,
+                                 arrival_window_s=10.0, rng_seed=3))
+    place, sizes = sim._place, []
+
+    def checked(entry, choice, preds):
+        place(entry, choice, preds)
+        sizes.append(len(sim._starts))
+        assert len(sim._starts) <= len(sim._events) + 1, sim.now
+
+    sim._place = checked
+    sim.execute()
+    assert len(sizes) == len(sim.placements) > 1000 and max(sizes) > 1
+    assert sim._starts == []
 
 
 def test_unsorted_requests_arrive_in_time_order_then_list_order(monkeypatch):
